@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -101,14 +103,18 @@ class ExperimentConfig:
                 "out_dir": self.out_dir, "threads": self.threads}
 
 
+# Path triple -> (stamp, Dataset), one entry per triple. The stamp is each
+# file's (st_mtime_ns, st_size); a rewrite that keeps the size within the
+# file system's timestamp granularity is not seen.
 _FILE_CACHE: dict = {}
+_FILE_CACHE_LOCK = threading.Lock()
 
 
 def make_dataset(spec: dict, seed: int) -> Dataset:
     """Instantiate the configured dataset for one seed.
 
     CSBM datasets are redrawn per seed; file datasets are loaded once and
-    shared (they are immutable).
+    shared (they are immutable) until one of their files changes.
     """
     kind = spec.get("kind", "csbm")
     if kind == "csbm":
@@ -119,10 +125,17 @@ def make_dataset(spec: dict, seed: int) -> Dataset:
             params = CsbmParams(seed=seed, **opts)
         return csbm_generate(params)
     if kind == "files":
-        key = (spec["edges"], spec["features"], spec["labels"])
-        if key not in _FILE_CACHE:
-            _FILE_CACHE[key] = load_dataset(*key)
-        return _FILE_CACHE[key]
+        paths = (spec["edges"], spec["features"], spec["labels"])
+        with _FILE_CACHE_LOCK:
+            try:
+                stamp = tuple((st.st_mtime_ns, st.st_size)
+                              for st in map(os.stat, paths))
+            except OSError:
+                return load_dataset(*paths)  # raises DataError naming the file
+            hit = _FILE_CACHE.get(paths)
+            if hit is None or hit[0] != stamp:
+                hit = _FILE_CACHE[paths] = (stamp, load_dataset(*paths))
+            return hit[1]
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 

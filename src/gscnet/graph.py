@@ -1,13 +1,22 @@
-"""Sparse graph substrate: CSR adjacency and matrix-free spectral operators.
+"""Sparse graph substrate: CSR adjacency and cached CSR spectral operators.
 
-The CSR adjacency is the single source of truth. The normalized Laplacian
-L = I - D^{-1/2} A D^{-1/2}, its reflection 2I - L, and the self-loop
-normalized propagation D_hat^{-1/2} (A+I) D_hat^{-1/2} are all applied
-matrix-free: no operator matrix is ever materialized, sparsely or densely.
+The CSR adjacency (``row_ptr``, ``col_idx``) is the single source of truth.
+Each operator is built from it once per graph, on first use, as a
+``scipy.sparse`` CSR array, and every apply is one sparse-times-dense
+product with it:
 
-Isolated nodes: D^{-1/2} is undefined at degree 0, so the normalized
-adjacency row/column of an isolated node is taken to be zero. L then acts
-as the identity on that node, which keeps the spectrum inside [0, 2].
+    adjacency            A
+    normalized_adjacency Â = D^{-1/2} A D^{-1/2}
+    gcn_operator         M = D_hat^{-1/2} (A + I) D_hat^{-1/2},  D_hat = D + I
+
+so L X = X - Â X and (2I - L) X = X + Â X, with no diagonal scaling around
+the product. No operator is ever materialized densely here; the dense
+matrices in ``verify`` are the independent oracles for these products.
+
+Isolated nodes: D^{-1/2} is undefined at degree 0, but A has neither a row
+nor a column entry at an isolated node, so Â stores nothing there. L then
+acts as the identity on that node, which keeps the spectrum inside [0, 2].
+M keeps its diagonal entry 1 at an isolated node.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DataError, InputError
 
@@ -62,20 +72,39 @@ class SparseGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]
 
-    # Apply-loop caches; reduceat needs strictly increasing segment starts,
-    # so empty rows are masked out once here instead of per call.
+    # Operators are built on first use. Two threads that both find one
+    # unbuilt may each build it; the builds are identical, so either result
+    # serves both.
     @cached_property
-    def _nonempty_rows(self) -> np.ndarray | None:
-        mask = self.row_ptr[1:] > self.row_ptr[:-1]
-        return None if mask.all() else mask
+    def adjacency(self) -> scipy.sparse.csr_array:
+        """A as a CSR array with unit weights."""
+        return scipy.sparse.csr_array(
+            (np.ones(self.nnz), self.col_idx, self.row_ptr),
+            shape=(self.n, self.n))
 
     @cached_property
-    def _inv_sqrt_degrees(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        pos = self.degrees > 0
-        d[pos] = 1.0 / np.sqrt(self.degrees[pos])
-        d.flags.writeable = False
-        return d
+    def normalized_adjacency(self) -> scipy.sparse.csr_array:
+        """Â = D^{-1/2} A D^{-1/2}; empty row and column at isolated nodes."""
+        s = 1.0 / np.sqrt(np.maximum(self.degrees, 1.0))
+        return _symmetric_scaled(self.adjacency, s)
+
+    @cached_property
+    def gcn_operator(self) -> scipy.sparse.csr_array:
+        """M = D_hat^{-1/2} (A + I) D_hat^{-1/2} with D_hat = D + I.
+
+        The self-loop is stored on the diagonal. The input graph is
+        expected to be loop-free: a stored loop adds to it, giving 2.
+        """
+        A_hat = self.adjacency + scipy.sparse.eye_array(self.n, format="csr")
+        return _symmetric_scaled(A_hat, 1.0 / np.sqrt(self.degrees + 1.0))
+
+
+def _symmetric_scaled(B: scipy.sparse.csr_array,
+                      s: np.ndarray) -> scipy.sparse.csr_array:
+    """diag(s) B diag(s), same sparsity pattern."""
+    rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+    data = s[rows] * B.data * s[B.indices]
+    return scipy.sparse.csr_array((data, B.indices, B.indptr), shape=B.shape)
 
 
 def build_csr(edges, n: int) -> SparseGraph:
@@ -113,73 +142,36 @@ def build_csr(edges, n: int) -> SparseGraph:
     )
 
 
-def _as_columns(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[:, None], True
-    if arr.ndim != 2:
+def _operand(g: SparseGraph, X) -> np.ndarray:
+    """X as float64, checked to be a vector or matrix with one row per node."""
+    arr = np.asarray(X, dtype=np.float64)
+    if arr.ndim not in (1, 2):
         raise InputError(f"expected vector or matrix, got ndim={arr.ndim}")
-    return arr, False
-
-
-def _check_rows(g: SparseGraph, X: np.ndarray):
-    if X.shape[0] != g.n:
-        raise InputError(f"feature rows {X.shape[0]} != node count {g.n}")
+    if arr.shape[0] != g.n:
+        raise InputError(f"feature rows {arr.shape[0]} != node count {g.n}")
+    return arr
 
 
 def adjacency_apply(g: SparseGraph, X) -> np.ndarray:
-    """A @ X from the CSR structure; rows without neighbors yield zero."""
-    X2, squeeze = _as_columns(X)
-    _check_rows(g, X2)
-    out = _adjacency_apply2(g, X2)
-    return out[:, 0] if squeeze else out
-
-
-def _adjacency_apply2(g: SparseGraph, X2: np.ndarray) -> np.ndarray:
-    if not g.nnz:
-        return np.zeros_like(X2)
-    gathered = X2[g.col_idx]
-    nonempty = g._nonempty_rows
-    if nonempty is None:
-        return np.add.reduceat(gathered, g.row_ptr[:-1], axis=0)
-    out = np.zeros_like(X2)
-    out[nonempty] = np.add.reduceat(gathered, g.row_ptr[:-1][nonempty], axis=0)
-    return out
-
-
-def _normalized_adjacency_apply(g: SparseGraph, X2: np.ndarray) -> np.ndarray:
-    dinv = g._inv_sqrt_degrees[:, None]
-    return dinv * _adjacency_apply2(g, dinv * X2)
+    """A @ X; rows without neighbors yield zero."""
+    return g.adjacency @ _operand(g, X)
 
 
 def laplacian_apply(g: SparseGraph, X) -> np.ndarray:
-    """(I - D^{-1/2} A D^{-1/2}) X, matrix-free."""
-    X2, squeeze = _as_columns(X)
-    _check_rows(g, X2)
-    out = X2 - _normalized_adjacency_apply(g, X2)
-    return out[:, 0] if squeeze else out
+    """(I - Â) X with Â = D^{-1/2} A D^{-1/2}."""
+    X = _operand(g, X)
+    return X - g.normalized_adjacency @ X
 
 
 def shifted_apply(g: SparseGraph, X) -> np.ndarray:
-    """(2I - L) X = X + D^{-1/2} A D^{-1/2} X, matrix-free."""
-    X2, squeeze = _as_columns(X)
-    _check_rows(g, X2)
-    out = X2 + _normalized_adjacency_apply(g, X2)
-    return out[:, 0] if squeeze else out
+    """(2I - L) X = (I + Â) X."""
+    X = _operand(g, X)
+    return X + g.normalized_adjacency @ X
 
 
 def gcn_norm_apply(g: SparseGraph, X) -> np.ndarray:
-    """D_hat^{-1/2} (A + I) D_hat^{-1/2} X with D_hat = D + I.
-
-    The self-loop is added virtually; the input graph is expected to be
-    loop-free (a stored loop would be counted on top of the virtual one).
-    """
-    X2, squeeze = _as_columns(X)
-    _check_rows(g, X2)
-    dinv = 1.0 / np.sqrt(g.degrees + 1.0)
-    dinv = dinv[:, None]
-    out = dinv * _adjacency_apply2(g, dinv * X2) + dinv * dinv * X2
-    return out[:, 0] if squeeze else out
+    """D_hat^{-1/2} (A + I) D_hat^{-1/2} X with D_hat = D + I."""
+    return g.gcn_operator @ _operand(g, X)
 
 
 def permute_graph(g: SparseGraph, X, perm) -> tuple[SparseGraph, np.ndarray]:
@@ -190,8 +182,7 @@ def permute_graph(g: SparseGraph, X, perm) -> tuple[SparseGraph, np.ndarray]:
     p = np.asarray(perm, dtype=np.int64)
     if p.shape != (g.n,) or not np.array_equal(np.sort(p), np.arange(g.n)):
         raise InputError("perm is not a bijection on [0, n)")
-    X2, squeeze = _as_columns(X)
-    _check_rows(g, X2)
+    X = _operand(g, X)
 
     inv = np.empty(g.n, dtype=np.int64)
     inv[p] = np.arange(g.n)
@@ -206,8 +197,7 @@ def permute_graph(g: SparseGraph, X, perm) -> tuple[SparseGraph, np.ndarray]:
 
     gp = SparseGraph(n=g.n, row_ptr=row_ptr, col_idx=col_idx,
                      degrees=g.degrees[p].copy())
-    Xp = X2[p].copy()
-    return gp, (Xp[:, 0] if squeeze else Xp)
+    return gp, X[p]
 
 
 def connected_components(g: SparseGraph) -> np.ndarray:

@@ -26,7 +26,7 @@ CLASSIFY_GUARD = 2000
 
 
 def dense_transform(g: SparseGraph, kind: str) -> np.ndarray:
-    """Dense 2I-L ("shifted") or L ("laplacian"), entrywise from the CSR.
+    """Dense 2I-L ("shifted") or L ("laplacian"), densified from the cached Â.
 
     Built here (guarded at CLASSIFY_GUARD) so activation checks do not
     depend on the smaller dense-oracle guard.
@@ -36,13 +36,7 @@ def dense_transform(g: SparseGraph, kind: str) -> np.ndarray:
     if g.n > CLASSIFY_GUARD:
         raise SizeGuardError(
             f"dense transform guarded at n <= {CLASSIFY_GUARD}, got {g.n}")
-    A = np.zeros((g.n, g.n))
-    for i in range(g.n):
-        A[i, g.neighbors(i)] = 1.0
-    dinv = np.zeros(g.n)
-    pos = g.degrees > 0
-    dinv[pos] = 1.0 / np.sqrt(g.degrees[pos])
-    norm = dinv[:, None] * A * dinv[None, :]
+    norm = g.normalized_adjacency.toarray()
     if kind == "shifted":
         return np.eye(g.n) + norm
     return np.eye(g.n) - norm

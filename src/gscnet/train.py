@@ -1,9 +1,9 @@
 """Single-run training loop: full-batch Adam with best-validation selection.
 
 Model selection follows the standard protocol: the reported test accuracy
-is taken at the epoch with the best validation accuracy (first such epoch
-on ties), and training stops early once validation accuracy has not
-improved for `patience` epochs.
+and filter coefficients are taken at the epoch with the best validation
+accuracy (first such epoch on ties), and training stops early once
+validation accuracy has not improved for `patience` epochs.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
     best_val = -1.0
     best_test = 0.0
     best_epoch = -1
+    best_filter = (params.filter.alpha.copy(), params.filter.beta.copy())
     since_improve = 0
     t_start = time.perf_counter()
 
@@ -95,6 +96,8 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
             record.epochs.append(EpochStats(epoch, loss, val_acc, test_acc, ms))
         if val_acc > best_val:
             best_val, best_test, best_epoch = val_acc, test_acc, epoch
+            best_filter = (params.filter.alpha.copy(),
+                           params.filter.beta.copy())
             since_improve = 0
         else:
             since_improve += 1
@@ -105,6 +108,6 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
     record.best_epoch = best_epoch
     record.best_val_acc = max(best_val, 0.0)
     record.test_acc = best_test
-    record.alpha = params.filter.alpha.tolist()
-    record.beta = params.filter.beta.tolist()
+    record.alpha = best_filter[0].tolist()
+    record.beta = best_filter[1].tolist()
     return record

@@ -176,13 +176,14 @@ class TestCriterion6ActivationAblation:
 @pytest.mark.slow
 @pytest.mark.acceptance
 class TestCriterion7Oversmoothing:
-    """KNOWN RED. GCN over-smooths as claimed, but the weighted-hop-sum
-    JKNet used here subsumes its shallow variants (zeroing deep-hop weights
-    recovers any smaller depth), so its depth curve never declines and its
-    drop is exactly 0, below GSCNet's. The stacked-GCN mechanism that makes
-    the original JKNet degrade with depth is not part of this model family.
-    See the repo notes for the measured tables; the assertion is kept as
-    stated rather than weakened to force a pass."""
+    """KNOWN RED. GCN over-smooths as claimed, but two baselines drop less
+    than GSCNet. Measured drops from best over depths 2-16: GSCNet 0.0095,
+    GCN 0.103, JKNet 0.0, BernNet 0.008 (table in CHANGES.md). The
+    weighted-hop-sum JKNet used here subsumes its shallow variants (zeroing
+    deep-hop weights recovers any smaller depth), so its depth curve never
+    declines; the stacked-GCN mechanism that makes the original JKNet
+    degrade with depth is not part of this model family. The assertion is
+    kept as stated rather than weakened to force a pass."""
 
     def test_gscnet_smallest_drop(self):
         config = ExperimentConfig(

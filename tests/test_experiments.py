@@ -1,13 +1,15 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from gscnet.data import CsbmParams
+from gscnet.data import CsbmParams, csbm_generate, save_dataset
 from gscnet.errors import ConfigError
 from gscnet.experiments import (ExperimentConfig, cmd_ablate_activations,
                                 cmd_bench, cmd_oversmooth, cmd_sweep_degrees,
-                                cmd_train, mean_ci95, t_critical_975)
+                                cmd_train, make_dataset, mean_ci95,
+                                t_critical_975)
 from gscnet.model import TrainConfig
 
 TINY_CSBM = {"kind": "csbm", "n": 80, "d": 6, "p_intra": 0.3,
@@ -61,6 +63,27 @@ class TestConfig:
     def test_bad_arch_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json({"arch": "GAT"})
+
+
+class TestMakeDataset:
+    def test_file_dataset_reloads_after_rewrite(self, tmp_path):
+        paths = [str(tmp_path / f)
+                 for f in ("edges.txt", "features.csv", "labels.txt")]
+        ds = csbm_generate(CsbmParams(n=30, d=3, seed=0))
+        save_dataset(ds, *paths)
+        spec = {"kind": "files", "edges": paths[0], "features": paths[1],
+                "labels": paths[2]}
+        first = make_dataset(spec, 0)
+        assert make_dataset(spec, 1) is first
+
+        flipped = 1 - ds.labels
+        with open(paths[2], "w", encoding="utf-8") as f:
+            f.write("".join(f"{y}\n" for y in flipped))
+        # Same size as before; move the mtime past the file system's
+        # timestamp granularity, as any later write would.
+        st = os.stat(paths[2])
+        os.utime(paths[2], ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        assert np.array_equal(make_dataset(spec, 0).labels, flipped)
 
 
 class TestCmdTrain:

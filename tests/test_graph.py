@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,8 @@ from gscnet.graph import (adjacency_apply, build_csr, connected_components,
                           gcn_norm_apply, laplacian_apply, num_components,
                           permute_graph, read_edge_list, shifted_apply,
                           write_edge_list)
-from gscnet.verify import dense_eigensystem
+from gscnet.verify import (dense_adjacency, dense_eigensystem,
+                           dense_gcn_norm, dense_laplacian, dense_shifted)
 
 from conftest import (K2_EDGES, P3_EDGES, connected_edges,
                       dense_gcn_norm_ref, dense_laplacian_ref,
@@ -151,6 +155,75 @@ class TestGcnNormApply:
             x = rng.normal(size=n)
             M = dense_gcn_norm_ref(edges, n)
             assert np.abs(gcn_norm_apply(g, x) - M @ x).max() <= 1e-12
+
+
+APPLIES = {
+    "adjacency": (adjacency_apply, dense_adjacency),
+    "laplacian": (laplacian_apply, dense_laplacian),
+    "shifted": (shifted_apply, dense_shifted),
+    "gcn": (gcn_norm_apply, dense_gcn_norm),
+}
+
+
+def _oracle_graph(kind):
+    rng = np.random.default_rng(7)
+    if kind == "random":
+        return build_csr(er_edges(rng, 40, 0.2), 40)
+    if kind == "isolated":  # nodes 20..29 have no neighbors
+        return build_csr(er_edges(rng, 20, 0.3), 30)
+    if kind == "no_edges":
+        return build_csr([], 7)
+    return build_csr([], 0)
+
+
+class TestAppliesMatchDenseOracles:
+    @pytest.mark.parametrize("op", sorted(APPLIES))
+    @pytest.mark.parametrize("graph", ["random", "isolated", "no_edges",
+                                       "empty"])
+    @pytest.mark.parametrize("width", [None, 2, 16, 64])
+    def test_matches_oracle(self, op, graph, width):
+        apply, dense = APPLIES[op]
+        g = _oracle_graph(graph)
+        shape = (g.n,) if width is None else (g.n, width)
+        X = np.random.default_rng(width or 1).normal(size=shape)
+        got = apply(g, X)
+        assert got.shape == X.shape
+        assert np.abs(got - dense(g) @ X).max(initial=0.0) <= 1e-12
+
+    def test_concurrent_first_use_matches_serial(self):
+        # File datasets share one graph across fan-out worker threads, so
+        # the first applies may race to build its cached operators.
+        edges = er_edges(np.random.default_rng(3), 2000, 0.005)
+        X = np.random.default_rng(4).normal(size=(2000, 16))
+        serial_graph = build_csr(edges, 2000)
+        serial = [APPLIES[op][0](serial_graph, X) for op in sorted(APPLIES)]
+
+        shared = build_csr(edges, 2000)  # no operator built yet
+        workers = 4
+        start = threading.Barrier(workers, timeout=30)
+        results = [None] * workers
+
+        def worker(slot):
+            start.wait()
+            results[slot] = [APPLIES[op][0](shared, X)
+                             for op in sorted(APPLIES)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got is not None and len(got) == len(serial)
+            for a, b in zip(got, serial):
+                assert np.array_equal(a, b)
 
 
 class TestPermuteGraph:

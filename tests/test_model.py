@@ -279,6 +279,24 @@ class TestTraining:
             [e.train_loss for e in r2.epochs]
         assert r1.test_acc == r2.test_acc
 
+    def test_reported_filter_is_best_validation_filter(self):
+        ds = csbm_generate(CsbmParams(n=60, d=6, seed=3))
+        split = random_split(ds.n, seed=3)
+
+        def run(epochs):
+            cfg = TrainConfig(epochs=epochs, patience=40, seed=3,
+                              dropout_linear=0.3, dropout_conv=0.3)
+            return train_single(ds, split, "GSCNet", 2, 2, cfg)
+
+        full = run(40)
+        b = full.best_epoch
+        assert 0 <= b < 39
+        # The first b+1 epochs of both runs are identical, so the short
+        # run ends on the best-validation filter of the long one.
+        short = run(b + 1)
+        assert full.alpha == short.alpha
+        assert full.beta == short.beta
+
     def test_overfits_separable_csbm(self):
         # 50 nodes, strong structure: train accuracy hits 1.0 in 200 epochs.
         ds = csbm_generate(CsbmParams(n=50, d=8, p_intra=0.5, p_inter=0.05,

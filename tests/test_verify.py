@@ -1,6 +1,9 @@
+import ast
+
 import numpy as np
 import pytest
 
+from gscnet import verify
 from gscnet.basis import FilterSpec, build_basis_cache, gsc_combine
 from gscnet.errors import InputError, SizeGuardError
 from gscnet.graph import build_csr
@@ -127,3 +130,17 @@ class TestFiniteDifference:
             lambda p: float((p["w"] ** 2).sum()), params)
         assert grads["w"].shape == W.shape
         assert np.allclose(grads["w"], 2 * W, atol=1e-6)
+
+
+def test_oracles_do_not_import_scipy():
+    # The dense oracles check the scipy.sparse kernel, so they must not
+    # share code with it.
+    with open(verify.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not {m for m in imported if m.split(".")[0] == "scipy"}
