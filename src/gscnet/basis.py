@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +75,13 @@ class BasisCache:
 
     p_blocks: tuple
     q_blocks: tuple
-    provenance: tuple
+    graph_fingerprint: int
+
+    @cached_property
+    def provenance(self) -> tuple:
+        # Hashing X costs a pass over it, so it waits for the first reader.
+        return (self.graph_fingerprint, zlib.crc32(self.p_blocks[0].tobytes()),
+                self.k1, self.k2)
 
     @property
     def k1(self) -> int:
@@ -100,8 +107,7 @@ def build_basis_cache(g: SparseGraph, X, k1: int, k2: int) -> BasisCache:
     for _ in range(k2):
         q_blocks.append(laplacian_apply(g, q_blocks[-1]))
 
-    provenance = (g.fingerprint, zlib.crc32(X.tobytes()), k1, k2)
-    return BasisCache(tuple(p_blocks), tuple(q_blocks), provenance)
+    return BasisCache(tuple(p_blocks), tuple(q_blocks), g.fingerprint)
 
 
 def gsc_combine(cache: BasisCache, spec: FilterSpec) -> np.ndarray:

@@ -55,12 +55,17 @@ def _cmd_train(args) -> int:
     for record in result["records"]:
         experiments.write_records_jsonl(
             os.path.join(out, f"run_{record.seed}.jsonl"), record)
-    experiments.write_json(os.path.join(out, "summary.json"),
-                           result["summary"])
     s = result["summary"]
+    workers = min(config.threads, len(config.seeds))
+    experiments.write_json(
+        os.path.join(out, "summary.json"),
+        {**s, "environment": experiments.environment(workers)})
     print(f"{config.arch} (k1={config.k1}, k2={config.k2}): "
           f"test acc {s['mean_test_acc']:.4f} +/- {s['ci95']:.4f} "
           f"over {len(config.seeds)} seed(s)")
+    if s["diverged_seeds"]:
+        print(f"warning: training diverged (non-finite loss) on seed(s) "
+              f"{s['diverged_seeds']}", file=sys.stderr)
     return 0
 
 

@@ -5,10 +5,21 @@ Seed pairing: within one command every model/cell sees the same per-seed
 dataset and split, so comparisons are paired rather than confounded by
 sampling. Multi-seed fan-out uses worker threads with per-run generators;
 aggregation sorts by seed so the output is order-independent.
+
+BLAS threads: while more than one worker runs, OpenBLAS is capped to its
+share of the cores per worker, max(1, min(current, nproc // workers)), and
+restored when the pool exits; the serial path keeps every BLAS thread.
+Large GEMMs round differently at different BLAS thread counts, so a run's
+bytes are a function of its config and of its BLAS threads per worker: a
+fan-out repeats bit for bit and equals a serial run under the same count,
+but not, at sizes where OpenBLAS threads, a serial run with more threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
@@ -148,12 +159,85 @@ def _run_one_seed(config: ExperimentConfig, seed: int, arch: str,
                         record_epochs=record_epochs)
 
 
+@functools.cache
+def _openblas():
+    """(file name, get_num_threads, set_num_threads) of the OpenBLAS numpy
+    loaded, found through the process's memory map, or None when there is
+    none (another BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f
+                            if "openblas" in line.lower() and ".so" in line},
+                           key=lambda p: ("numpy" not in p, p))
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
+                          None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}",
+                          None)
+            if get is None or put is None:
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return os.path.basename(path), get, put
+    return None
+
+
+def _nproc() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_share(threads: int, workers: int) -> int:
+    """BLAS threads each of `workers` workers gets out of `threads`."""
+    if workers < 2:
+        return threads
+    return max(1, min(threads, _nproc() // workers))
+
+
+@contextlib.contextmanager
+def blas_threads_per_worker(workers: int):
+    """Cap OpenBLAS to each worker's share of the cores while `workers`
+    threads call it at once, and restore the count on exit; a no-op for one
+    worker or without OpenBLAS. The count is process-wide, so fan-outs in
+    one process must not overlap."""
+    blas = _openblas()
+    if blas is None or workers < 2:
+        yield
+        return
+    _, get, put = blas
+    before = get()
+    put(_blas_share(before, workers))
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def environment(workers: int) -> dict:
+    """What a run's bytes depend on besides its config: the numpy version,
+    the BLAS library and the BLAS threads each of `workers` workers gets."""
+    name, threads = None, None
+    if (blas := _openblas()) is not None:
+        name, threads = blas[0], _blas_share(blas[1](), workers)
+    return {"numpy": np.__version__, "blas": name,
+            "blas_threads_per_worker": threads, "nproc": _nproc()}
+
+
 def _fan_out(config: ExperimentConfig, jobs: list) -> list:
     """jobs: list of (key, callable); returns [(key, result)] sorted by key."""
     if config.threads == 1:
         results = [(key, fn()) for key, fn in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        with blas_threads_per_worker(min(config.threads, len(jobs))), \
+                ThreadPoolExecutor(max_workers=config.threads) as pool:
             futures = [(key, pool.submit(fn)) for key, fn in jobs]
             results = [(key, f.result()) for key, f in futures]
     return sorted(results, key=lambda kv: kv[0])
@@ -163,7 +247,8 @@ def summarize_records(records: list) -> dict:
     accs = [r.test_acc for r in records]
     mean, ci = mean_ci95(accs)
     return {"mean_test_acc": mean, "ci95": ci,
-            "per_seed": {str(r.seed): r.test_acc for r in records}}
+            "per_seed": {str(r.seed): r.test_acc for r in records},
+            "diverged_seeds": [r.seed for r in records if r.diverged]}
 
 
 def cmd_train(config: ExperimentConfig, record_epochs: bool = True) -> dict:

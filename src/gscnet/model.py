@@ -1,8 +1,6 @@
 """Models with hand-derived gradients: a shared 2-layer MLP composed with an
-architecture-specific propagation stage.
-
-The default order is decoupled, H = MLP(X) then Z = prop(H); the
-`prop_order="prop_first"` flag flips it to Z = MLP(prop(X)).
+architecture-specific propagation stage, decoupled: H = MLP(X), then
+Z = prop(H).
 
     GSCNet   prop(V) = (sum_i alpha_i (2I-L)^i + sum_j beta_j L^j) V
     GCN      prop(V) = M^k V                 M = D_hat^{-1/2}(A+I)D_hat^{-1/2}
@@ -30,6 +28,8 @@ ARCHITECTURES = ("GSCNet", "GCN", "JKNet", "BernNet")
 HIDDEN_UNITS = 64
 
 CHECKPOINT_SCHEMA = "gscnet-checkpoint/1"
+# The one propagation order; checkpoints record it under "prop_order".
+PROP_ORDER = "decoupled"
 
 
 @dataclass
@@ -60,9 +60,7 @@ class ModelParams:
     ``filter`` stores the trainable propagation coefficients; their meaning
     is architecture-dependent (see module docstring). GCN has none, and its
     fixed propagation depth lives in ``gcn_depth``. For JKNet, alpha[k-1]
-    multiplies M^k (there is no k = 0 term). ``prop_order`` selects MLP-
-    then-propagate ("decoupled", default) or propagate-then-MLP
-    ("prop_first").
+    multiplies M^k (there is no k = 0 term).
     """
 
     arch: str
@@ -72,7 +70,6 @@ class ModelParams:
     b2: np.ndarray
     filter: FilterSpec
     gcn_depth: int = 0
-    prop_order: str = "decoupled"
 
     @property
     def d_in(self) -> int:
@@ -95,7 +92,7 @@ class ModelParams:
             arch=self.arch, w1=self.w1.copy(), b1=self.b1.copy(),
             w2=self.w2.copy(), b2=self.b2.copy(),
             filter=FilterSpec(self.filter.alpha.copy(), self.filter.beta.copy()),
-            gcn_depth=self.gcn_depth, prop_order=self.prop_order)
+            gcn_depth=self.gcn_depth)
 
     def to_json(self) -> dict:
         def arr(a):
@@ -104,22 +101,25 @@ class ModelParams:
                 "w1": arr(self.w1), "b1": arr(self.b1),
                 "w2": arr(self.w2), "b2": arr(self.b2),
                 "filter": self.filter.to_json(), "gcn_depth": self.gcn_depth,
-                "prop_order": self.prop_order}
+                "prop_order": PROP_ORDER}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelParams":
+        order = obj.get("prop_order", PROP_ORDER)
+        if order != PROP_ORDER:
+            raise InputError(f"unknown prop order {order!r}; checkpoints "
+                             f"hold {PROP_ORDER!r} models only")
+
         def arr(v):
             return np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
         return cls(arch=obj["arch"], w1=arr(obj["w1"]), b1=arr(obj["b1"]),
                    w2=arr(obj["w2"]), b2=arr(obj["b2"]),
                    filter=FilterSpec.from_json(obj["filter"]),
-                   gcn_depth=int(obj.get("gcn_depth", 0)),
-                   prop_order=obj.get("prop_order", "decoupled"))
+                   gcn_depth=int(obj.get("gcn_depth", 0)))
 
 
 def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
-                seed, hidden: int = HIDDEN_UNITS,
-                prop_order: str = "decoupled") -> ModelParams:
+                seed, hidden: int = HIDDEN_UNITS) -> ModelParams:
     """Seeded initialization: filter coefficients all 1, MLP weights drawn
     from the symmetric uniform fan-in scheme U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
     biases zero.
@@ -131,8 +131,6 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
     if arch not in ARCHITECTURES:
         raise InputError(f"unknown architecture {arch!r}; "
                          f"expected one of {ARCHITECTURES}")
-    if prop_order not in ("decoupled", "prop_first"):
-        raise InputError(f"unknown prop order {prop_order!r}")
     rng = np.random.default_rng(seed)
     s1 = 1.0 / np.sqrt(d_in)
     s2 = 1.0 / np.sqrt(hidden)
@@ -159,8 +157,7 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
         spec = FilterSpec(alpha=np.ones(k1 + 1))
 
     return ModelParams(arch=arch, w1=w1, b1=np.zeros(hidden), w2=w2,
-                       b2=np.zeros(d_out), filter=spec, gcn_depth=gcn_depth,
-                       prop_order=prop_order)
+                       b2=np.zeros(d_out), filter=spec, gcn_depth=gcn_depth)
 
 
 def _dropout_mask(rng, shape, rate: float):
@@ -262,8 +259,7 @@ def forward(params: ModelParams, g: SparseGraph, X, mode: str = "eval",
     """Run the model; returns (logits, tape) with the tape holding the
     intermediates the backward pass needs. Eval mode ignores dropout.
 
-    Decoupled order: drop_lin -> MLP -> drop_conv -> propagate.
-    prop_first order: drop_conv -> propagate -> drop_lin -> MLP.
+    Order: drop_lin -> MLP -> drop_conv -> propagate.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != g.n:
@@ -289,21 +285,12 @@ def forward(params: ModelParams, g: SparseGraph, X, mode: str = "eval",
         h1 = np.maximum(a1, 0.0)
         return h1 @ params.w2 + params.b2, a1, h1
 
-    if params.prop_order == "prop_first":
-        Xc, mask_conv = maybe_drop(X, dropout_conv)
-        F, blocks = _propagate(params, g, Xc)
-        Fd, mask_in = maybe_drop(F, dropout_linear)
-        Z, a1, h1 = mlp(Fd)
-        tape = {"order": "prop_first", "Xd": Fd, "mask_in": mask_in,
-                "a1": a1, "h1": h1, "mask_conv": mask_conv, "blocks": blocks}
-        return Z, tape
-
-    Xd, mask_in = maybe_drop(X, dropout_linear)
+    Xd, _ = maybe_drop(X, dropout_linear)
     H, a1, h1 = mlp(Xd)
     Hd, mask_conv = maybe_drop(H, dropout_conv)
     Z, blocks = _propagate(params, g, Hd)
-    tape = {"order": "decoupled", "Xd": Xd, "mask_in": mask_in, "a1": a1,
-            "h1": h1, "mask_conv": mask_conv, "blocks": blocks}
+    tape = {"Xd": Xd, "a1": a1, "h1": h1, "mask_conv": mask_conv,
+            "blocks": blocks}
     return Z, tape
 
 
@@ -343,23 +330,13 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     mask = np.asarray(mask, dtype=bool)
     loss, dZ = softmax_cross_entropy(logits, labels, mask)
 
-    def mlp_grads(dout):
-        grads = {"w2": tape["h1"].T @ dout, "b2": dout.sum(axis=0)}
-        da1 = (dout @ params.w2.T) * (tape["a1"] > 0.0)
-        grads["w1"] = tape["Xd"].T @ da1
-        grads["b1"] = da1.sum(axis=0)
-        din = da1 @ params.w1.T
-        return grads, din
-
-    if tape["order"] == "prop_first":
-        grads, dFd = mlp_grads(dZ)
-        dF = dFd if tape["mask_in"] is None else dFd * tape["mask_in"]
-        _, dalpha, dbeta = _propagate_grad(params, g, dF, tape["blocks"])
-    else:
-        dH, dalpha, dbeta = _propagate_grad(params, g, dZ, tape["blocks"])
-        if tape["mask_conv"] is not None:
-            dH = dH * tape["mask_conv"]
-        grads, _ = mlp_grads(dH)
+    dH, dalpha, dbeta = _propagate_grad(params, g, dZ, tape["blocks"])
+    if tape["mask_conv"] is not None:
+        dH = dH * tape["mask_conv"]
+    grads = {"w2": tape["h1"].T @ dH, "b2": dH.sum(axis=0)}
+    da1 = (dH @ params.w2.T) * (tape["a1"] > 0.0)
+    grads["w1"] = tape["Xd"].T @ da1
+    grads["b1"] = da1.sum(axis=0)
 
     if params.filter.alpha.size:
         grads["alpha"] = dalpha
@@ -420,8 +397,12 @@ def predict(logits: np.ndarray) -> np.ndarray:
 
 
 def accuracy(logits: np.ndarray, labels, mask) -> float:
+    """Fraction of masked rows predicted right; a row with a non-finite
+    logit counts as wrong, whatever its argmax."""
     idx = np.flatnonzero(np.asarray(mask, dtype=bool))
     if idx.size == 0:
         return 0.0
-    preds = predict(logits[idx])
-    return float(np.mean(preds == np.asarray(labels)[idx]))
+    rows = np.asarray(logits)[idx]
+    right = (predict(rows) == np.asarray(labels)[idx]) \
+        & np.isfinite(rows).all(axis=1)
+    return float(np.mean(right))

@@ -3,11 +3,14 @@
 Model selection follows the standard protocol: the reported test accuracy
 and filter coefficients are taken at the epoch with the best validation
 accuracy (first such epoch on ties), and training stops early once
-validation accuracy has not improved for `patience` epochs.
+validation accuracy has not improved for `patience` epochs. A run whose
+training loss turns non-finite stops at that epoch and is marked
+`diverged`; its selection covers the epochs before it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,13 +48,15 @@ class RunRecord:
     total_s: float = 0.0
     alpha: list = field(default_factory=list)
     beta: list = field(default_factory=list)
+    diverged: bool = False
 
     def to_json(self) -> dict:
         return {"seed": self.seed, "arch": self.arch, "k1": self.k1,
                 "k2": self.k2, "best_epoch": self.best_epoch,
                 "best_val_acc": self.best_val_acc, "test_acc": self.test_acc,
                 "total_s": self.total_s, "alpha": self.alpha,
-                "beta": self.beta, "num_epochs": len(self.epochs)}
+                "beta": self.beta, "num_epochs": len(self.epochs),
+                "diverged": self.diverged}
 
 
 def evaluate(params: ModelParams, ds: Dataset, split: Split) -> tuple[float, float]:
@@ -89,6 +94,9 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
         t0 = time.perf_counter()
         loss, grads = loss_and_grad(params, ds.graph, ds.features, ds.labels,
                                     split.train, cfg, rng=rng_drop)
+        if not math.isfinite(loss):
+            record.diverged = True
+            break
         adam_step(params, grads, state, cfg)
         val_acc, test_acc = evaluate(params, ds, split)
         ms = (time.perf_counter() - t0) * 1e3

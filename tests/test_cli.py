@@ -31,6 +31,10 @@ class TestTrainCommand:
         assert (out / "run_0.jsonl").exists()
         first = json.loads((out / "run_0.jsonl").read_text().splitlines()[0])
         assert {"epoch", "train_loss", "val_acc", "test_acc", "ms"} <= set(first)
+        env = summary["environment"]
+        assert set(env) == {"numpy", "blas", "blas_threads_per_worker",
+                            "nproc"}
+        assert env["numpy"] == np.__version__ and env["nproc"] >= 1
 
     def test_rerun_identical_modulo_times(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from gscnet import experiments, train
 from gscnet.data import CsbmParams, csbm_generate, save_dataset
 from gscnet.errors import ConfigError
 from gscnet.experiments import (ExperimentConfig, cmd_ablate_activations,
@@ -103,6 +104,26 @@ class TestCmdTrain:
         threaded = cmd_train(tiny_config(threads=3))["summary"]
         assert serial == threaded
 
+    def test_diverged_run_stops_and_is_listed(self, monkeypatch):
+        real = train.loss_and_grad
+        calls = {}
+
+        def nan_on_seed1_epoch2(params, g, X, labels, mask, cfg, rng=None):
+            loss, grads = real(params, g, X, labels, mask, cfg, rng=rng)
+            calls[cfg.seed] = calls.get(cfg.seed, 0) + 1
+            if cfg.seed == 1 and calls[1] == 3:
+                loss = float("nan")
+            return loss, grads
+
+        monkeypatch.setattr(train, "loss_and_grad", nan_on_seed1_epoch2)
+        result = cmd_train(tiny_config())
+        ok, bad = result["records"]
+        assert result["summary"]["diverged_seeds"] == [1]
+        assert not ok.diverged and len(ok.epochs) == FAST_TRAIN["epochs"]
+        assert bad.diverged and bad.to_json()["diverged"] is True
+        assert len(bad.epochs) == 2 and bad.best_epoch in (0, 1)
+        assert bad.test_acc == bad.epochs[bad.best_epoch].test_acc
+
     def test_zero_epochs_chance_level(self):
         cfg = tiny_config(train=TrainConfig(**{**FAST_TRAIN, "epochs": 0}))
         result = cmd_train(cfg)
@@ -155,3 +176,65 @@ class TestCmdBench:
         cfg = tiny_config(train=TrainConfig(**{**FAST_TRAIN, "epochs": 1}))
         with pytest.raises(ConfigError):
             cmd_bench(cfg, warmup=1)
+
+
+# Heterophily CSBM at n=5000: big enough that OpenBLAS threads the MLP's
+# GEMMs (Xd.T @ da1 is 16x5000 by 5000x64), which round differently at
+# different thread counts.
+BLAS_SIZED = ExperimentConfig(
+    dataset={"kind": "csbm", "regime": "heterophily", "n": 5000},
+    train=TrainConfig(epochs=3, patience=3), seeds=[0, 1], threads=2)
+
+
+def fingerprints(result):
+    return [(r.seed, r.test_acc, r.alpha, r.beta,
+             [e.train_loss for e in r.epochs]) for r in result["records"]]
+
+
+def needs_openblas():
+    blas = experiments._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    return blas
+
+
+class TestBlasThreadsPerWorker:
+    def test_fan_out_repeats_bit_for_bit(self):
+        assert fingerprints(cmd_train(BLAS_SIZED)) == \
+            fingerprints(cmd_train(BLAS_SIZED))
+
+    def test_fan_out_equals_serial_at_same_blas_threads(self):
+        needs_openblas()
+        fanned = cmd_train(BLAS_SIZED)
+        with experiments.blas_threads_per_worker(2):
+            serial = cmd_train(ExperimentConfig(
+                **{**BLAS_SIZED.__dict__, "threads": 1}))
+        assert fingerprints(fanned) == fingerprints(serial)
+
+    def test_count_capped_in_workers_and_restored_after_raise(self):
+        _, get, _ = needs_openblas()
+        before = get()
+        seen = []
+
+        def job():
+            seen.append(get())
+            raise RuntimeError("job failed")
+
+        with pytest.raises(RuntimeError):
+            experiments._fan_out(tiny_config(threads=2),
+                                 [(0, job), (1, job)])
+        assert get() == before
+        share = max(1, min(before, experiments._nproc() // 2))
+        assert seen == [share, share]
+        assert experiments.environment(2)["blas_threads_per_worker"] == share
+        assert experiments.environment(1)["blas_threads_per_worker"] == before
+
+    def test_no_op_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        with experiments.blas_threads_per_worker(4):
+            pass
+        threaded = cmd_train(tiny_config(threads=2))["summary"]
+        assert threaded == cmd_train(tiny_config())["summary"]
+        env = experiments.environment(2)
+        assert env["blas"] is None and env["blas_threads_per_worker"] is None
+        assert "environment" not in threaded

@@ -255,6 +255,11 @@ class TestPredict:
         p = rng.permutation(10)
         assert np.array_equal(predict(logits[p]), predict(logits)[p])
 
+    def test_non_finite_rows_count_as_wrong(self):
+        logits = np.array([[np.nan, 0.0], [0.0, np.inf], [0.0, 1.0]])
+        assert accuracy(logits, [0, 1, 1], [True, True, True]) == \
+            pytest.approx(1 / 3)
+
 
 class TestCheckpoint:
     def test_json_roundtrip(self):
@@ -265,6 +270,14 @@ class TestCheckpoint:
             assert np.array_equal(getattr(again, key), getattr(params, key))
         assert np.array_equal(again.filter.alpha, params.filter.alpha)
         assert np.array_equal(again.filter.beta, params.filter.beta)
+
+    def test_prop_order_other_than_decoupled_rejected(self):
+        obj = init_params("GSCNet", 3, 2, 1, 1, seed=5).to_json()
+        assert obj["prop_order"] == "decoupled"
+        del obj["prop_order"]
+        ModelParams.from_json(obj)
+        with pytest.raises(InputError):
+            ModelParams.from_json({**obj, "prop_order": "prop_first"})
 
 
 class TestTraining:
