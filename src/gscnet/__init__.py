@@ -1,7 +1,7 @@
 """Sparse spectral graph-filter engine with decoupled positive/negative bases."""
 
-from .basis import BasisCache, FilterSpec, bernstein_term, build_basis_cache, \
-    gsc_combine, monomial_prop
+from .basis import BasisCache, FilterSpec, bernstein_blocks, \
+    build_basis_cache, combine, gsc_combine, monomial_prop
 from .data import CsbmParams, Dataset, Split, csbm_generate, csbm_params_for, \
     load_dataset, random_split, save_dataset
 from .graph import SparseGraph, adjacency_apply, build_csr, gcn_norm_apply, \

@@ -6,6 +6,10 @@ built by the one-step recurrences P_{i+1} = (2I-L) P_i, Q_{j+1} = L Q_j.
 Blocks live at the n x d feature level, never as n x n operators, so a
 cache build costs (K1+K2) sparse applies and combination is a weighted sum
 of dense blocks: O((K1+K2) * nnz * d) total.
+
+The baselines' blocks come from here too (BernNet's Bernstein terms, the
+M powers of GCN and JKNet), and `combine` is the one weighted sum every
+model uses, forward and backward.
 """
 
 from __future__ import annotations
@@ -49,21 +53,6 @@ class FilterSpec:
     def k2(self) -> int:
         return self.beta.shape[0] - 1
 
-    def to_json(self) -> dict:
-        return {"k1": self.k1, "k2": self.k2,
-                "alpha": self.alpha.tolist(), "beta": self.beta.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FilterSpec":
-        spec = cls(alpha=np.asarray(obj.get("alpha", []), dtype=np.float64),
-                   beta=np.asarray(obj.get("beta", []), dtype=np.float64))
-        for key, got in (("k1", spec.k1), ("k2", spec.k2)):
-            if key in obj and int(obj[key]) != got:
-                raise InputError(
-                    f"filter degree mismatch: {key}={obj[key]} but "
-                    f"coefficient vector implies {got}")
-        return spec
-
 
 @dataclass(frozen=True)
 class BasisCache:
@@ -92,6 +81,15 @@ class BasisCache:
         return len(self.q_blocks) - 1
 
 
+def operator_powers(apply, g: SparseGraph, X, k: int) -> list:
+    """[X, op X, ..., op^k X] for the sparse apply ``apply``, by the one-step
+    recurrence: k sparse applies."""
+    blocks = [X]
+    for _ in range(k):
+        blocks.append(apply(g, blocks[-1]))
+    return blocks
+
+
 def build_basis_cache(g: SparseGraph, X, k1: int, k2: int) -> BasisCache:
     """Build both block families by the one-step recurrences."""
     if k1 < 0 or k2 < 0:
@@ -99,15 +97,18 @@ def build_basis_cache(g: SparseGraph, X, k1: int, k2: int) -> BasisCache:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != g.n:
         raise InputError(f"feature rows {X.shape[0]} != node count {g.n}")
+    return BasisCache(tuple(operator_powers(shifted_apply, g, X, k1)),
+                      tuple(operator_powers(laplacian_apply, g, X, k2)),
+                      g.fingerprint)
 
-    p_blocks = [X]
-    for _ in range(k1):
-        p_blocks.append(shifted_apply(g, p_blocks[-1]))
-    q_blocks = [X]
-    for _ in range(k2):
-        q_blocks.append(laplacian_apply(g, q_blocks[-1]))
 
-    return BasisCache(tuple(p_blocks), tuple(q_blocks), g.fingerprint)
+def combine(blocks, coeffs) -> np.ndarray:
+    """Z = sum_k c_k B_k, accumulated in block order. Every propagation
+    stage, forward and backward, sums its blocks here."""
+    Z = np.zeros_like(blocks[0])
+    for c, B in zip(coeffs, blocks):
+        Z += c * B
+    return Z
 
 
 def gsc_combine(cache: BasisCache, spec: FilterSpec) -> np.ndarray:
@@ -116,24 +117,25 @@ def gsc_combine(cache: BasisCache, spec: FilterSpec) -> np.ndarray:
         raise InputError(
             f"filter degrees ({spec.k1}, {spec.k2}) exceed cache degrees "
             f"({cache.k1}, {cache.k2})")
-    Z = np.zeros_like(cache.p_blocks[0])
-    for i, a in enumerate(spec.alpha):
-        Z += a * cache.p_blocks[i]
-    for j, b in enumerate(spec.beta):
-        Z += b * cache.q_blocks[j]
-    return Z
+    blocks = cache.p_blocks[:spec.k1 + 1] + cache.q_blocks[:spec.k2 + 1]
+    if not blocks:  # both families off: the zero filter
+        return np.zeros_like(cache.p_blocks[0])
+    return combine(blocks, np.concatenate([spec.alpha, spec.beta]))
 
 
-def bernstein_term(g: SparseGraph, X, K: int, k: int) -> np.ndarray:
-    """(2I-L)^{K-k} L^k X by repeated sparse application."""
-    if not 0 <= k <= K:
-        raise InputError(f"term index k={k} out of range for degree K={K}")
-    Y = np.asarray(X, dtype=np.float64)
-    for _ in range(k):
-        Y = laplacian_apply(g, Y)
-    for _ in range(K - k):
-        Y = shifted_apply(g, Y)
-    return Y
+def bernstein_blocks(g: SparseGraph, X, K: int) -> list:
+    """BernNet's terms (2I-L)^k L^{K-k} X for k = 0..K, in that order.
+
+    The L powers come from one shared recurrence; term k then applies 2I-L
+    k times. That is K + K(K+1)/2 sparse applies, the reference cost of
+    BernNet's Bernstein basis, quadratic in its degree.
+    """
+    if K < 0:
+        raise InputError(f"Bernstein degree must be non-negative, got {K}")
+    lap_powers = operator_powers(laplacian_apply, g,
+                                 np.asarray(X, dtype=np.float64), K)
+    return [operator_powers(shifted_apply, g, lap_powers[K - k], k)[-1]
+            for k in range(K + 1)]
 
 
 def monomial_prop(g: SparseGraph, X, k: int) -> np.ndarray:

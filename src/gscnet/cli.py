@@ -19,6 +19,7 @@ from .data import CsbmParams, csbm_generate, csbm_params_for, load_dataset, \
     save_dataset
 from .errors import ConfigError, DataError, GscnetError, InputError
 from .experiments import ExperimentConfig, SCHEMA_VERSION
+from .model import ARCHITECTURES
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -56,10 +57,10 @@ def _cmd_train(args) -> int:
         experiments.write_records_jsonl(
             os.path.join(out, f"run_{record.seed}.jsonl"), record)
     s = result["summary"]
-    workers = min(config.threads, len(config.seeds))
-    experiments.write_json(
+    experiments.write_with_environment(
         os.path.join(out, "summary.json"),
-        {**s, "environment": experiments.environment(workers)})
+        {**s, "runs": [r.to_json() for r in result["records"]]},
+        config, jobs=len(config.seeds))
     print(f"{config.arch} (k1={config.k1}, k2={config.k2}): "
           f"test acc {s['mean_test_acc']:.4f} +/- {s['ci95']:.4f} "
           f"over {len(config.seeds)} seed(s)")
@@ -78,10 +79,12 @@ def _parse_range(text: str) -> list:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    table = experiments.cmd_sweep_degrees(config, _parse_range(args.k1_range),
-                                          _parse_range(args.k2_range))
+    k1s, k2s = _parse_range(args.k1_range), _parse_range(args.k2_range)
+    table = experiments.cmd_sweep_degrees(config, k1s, k2s)
     out = _out_dir(config)
-    experiments.write_json(os.path.join(out, "sweep.json"), table)
+    experiments.write_with_environment(
+        os.path.join(out, "sweep.json"), table, config,
+        jobs=len(k1s) * len(k2s) * len(config.seeds))
     experiments.write_grid_csv(os.path.join(out, "sweep.csv"), table)
     print(f"sweep spread (max-min mean acc): {table['spread']:.4f}")
     return 0
@@ -92,7 +95,9 @@ def _cmd_oversmooth(args) -> int:
     depths = [int(d) for d in args.depths.split(",")]
     table = experiments.cmd_oversmooth(config, depths)
     out = _out_dir(config)
-    experiments.write_json(os.path.join(out, "oversmooth.json"), table)
+    experiments.write_with_environment(
+        os.path.join(out, "oversmooth.json"), table, config,
+        jobs=len(ARCHITECTURES) * len(depths) * len(config.seeds))
     experiments.write_depth_csv(os.path.join(out, "oversmooth.csv"), table)
     for arch, drop in table["drop_to_deepest"].items():
         print(f"{arch}: drop to depth {depths[-1]} = {drop:.4f}")
@@ -103,7 +108,9 @@ def _cmd_ablate(args) -> int:
     config = _load_config(args)
     table = experiments.cmd_ablate_activations(config)
     out = _out_dir(config)
-    experiments.write_json(os.path.join(out, "ablate.json"), table)
+    experiments.write_with_environment(
+        os.path.join(out, "ablate.json"), table, config,
+        jobs=len(experiments.ABLATION_VARIANTS) * len(config.seeds))
     for variant, row in table["rows"].items():
         print(f"{variant}: {row['mean_test_acc']:.4f} +/- {row['ci95']:.4f}")
     return 0

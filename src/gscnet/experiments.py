@@ -231,12 +231,17 @@ def environment(workers: int) -> dict:
             "blas_threads_per_worker": threads, "nproc": _nproc()}
 
 
+def fan_out_workers(config: ExperimentConfig, jobs: int) -> int:
+    """Worker threads that run at once when `jobs` jobs fan out."""
+    return min(config.threads, jobs)
+
+
 def _fan_out(config: ExperimentConfig, jobs: list) -> list:
     """jobs: list of (key, callable); returns [(key, result)] sorted by key."""
     if config.threads == 1:
         results = [(key, fn()) for key, fn in jobs]
     else:
-        with blas_threads_per_worker(min(config.threads, len(jobs))), \
+        with blas_threads_per_worker(fan_out_workers(config, len(jobs))), \
                 ThreadPoolExecutor(max_workers=config.threads) as pool:
             futures = [(key, pool.submit(fn)) for key, fn in jobs]
             results = [(key, f.result()) for key, f in futures]
@@ -401,6 +406,15 @@ def write_json(path, obj: dict):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def write_with_environment(path, obj: dict, config: ExperimentConfig,
+                           jobs: int):
+    """write_json with the `environment` block of a command that fanned
+    `jobs` jobs out under `config`, since the artifact's bytes depend on
+    it."""
+    write_json(path, {**obj, "environment": environment(
+        fan_out_workers(config, jobs))})
 
 
 def write_records_jsonl(path, record: RunRecord):

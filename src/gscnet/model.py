@@ -7,29 +7,28 @@ Z = prop(H).
     JKNet    prop(V) = sum_{k=1..K} alpha_k M^k V
     BernNet  prop(V) = sum_{k=0..K} alpha_k (2I-L)^k L^{K-k} V
 
-Propagation operators are symmetric, so the backward pass reuses the same
-sparse applies on the incoming gradient; coefficient gradients are Frobenius
-inner products with the cached blocks. Dropout is applied at two sites:
-on the first stage's input (linear rate) and between the stages (conv
-rate), inverted-scaled at train time.
+One propagation path serves all four: `_blocks` names each architecture's
+basis blocks B_k(V), and prop(V) = sum_k c_k B_k(V) with c = (alpha, beta),
+or c = [1] for GCN's one fixed block. Every operator is symmetric, so the
+backward pass is the same path run on dZ, and the gradient of c_k is
+<dZ, B_k(V)>. Dropout is applied at two sites: on the first stage's input
+(linear rate) and between the stages (conv rate), inverted-scaled at train
+time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FilterSpec, build_basis_cache, gsc_combine
+from .basis import (FilterSpec, bernstein_blocks, build_basis_cache, combine,
+                    monomial_prop, operator_powers)
 from .errors import InputError
-from .graph import SparseGraph, gcn_norm_apply, laplacian_apply, shifted_apply
+from .graph import SparseGraph, gcn_norm_apply
 
 ARCHITECTURES = ("GSCNet", "GCN", "JKNet", "BernNet")
 HIDDEN_UNITS = 64
-
-CHECKPOINT_SCHEMA = "gscnet-checkpoint/1"
-# The one propagation order; checkpoints record it under "prop_order".
-PROP_ORDER = "decoupled"
 
 
 @dataclass
@@ -94,29 +93,6 @@ class ModelParams:
             filter=FilterSpec(self.filter.alpha.copy(), self.filter.beta.copy()),
             gcn_depth=self.gcn_depth)
 
-    def to_json(self) -> dict:
-        def arr(a):
-            return {"shape": list(a.shape), "data": a.ravel().tolist()}
-        return {"schema": CHECKPOINT_SCHEMA, "arch": self.arch,
-                "w1": arr(self.w1), "b1": arr(self.b1),
-                "w2": arr(self.w2), "b2": arr(self.b2),
-                "filter": self.filter.to_json(), "gcn_depth": self.gcn_depth,
-                "prop_order": PROP_ORDER}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelParams":
-        order = obj.get("prop_order", PROP_ORDER)
-        if order != PROP_ORDER:
-            raise InputError(f"unknown prop order {order!r}; checkpoints "
-                             f"hold {PROP_ORDER!r} models only")
-
-        def arr(v):
-            return np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
-        return cls(arch=obj["arch"], w1=arr(obj["w1"]), b1=arr(obj["b1"]),
-                   w2=arr(obj["w2"]), b2=arr(obj["b2"]),
-                   filter=FilterSpec.from_json(obj["filter"]),
-                   gcn_depth=int(obj.get("gcn_depth", 0)))
-
 
 def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
                 seed, hidden: int = HIDDEN_UNITS) -> ModelParams:
@@ -166,92 +142,31 @@ def _dropout_mask(rng, shape, rate: float):
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def _propagate(params: ModelParams, g: SparseGraph, H: np.ndarray):
-    """Returns (Z, blocks) where blocks are the per-coefficient terms needed
-    for coefficient gradients (None when the architecture has none)."""
-    arch = params.arch
-    if arch == "GSCNet":
-        spec = params.filter
-        cache = build_basis_cache(g, H, max(spec.k1, 0), max(spec.k2, 0))
-        Z = gsc_combine(cache, spec)
-        return Z, (cache.p_blocks[:spec.k1 + 1], cache.q_blocks[:spec.k2 + 1])
-    if arch == "GCN":
-        Z = H
-        for _ in range(params.gcn_depth):
-            Z = gcn_norm_apply(g, Z)
-        return Z, None
-    if arch == "JKNet":
-        K = params.filter.alpha.shape[0]
-        blocks = []
-        U = H
-        for _ in range(K):
-            U = gcn_norm_apply(g, U)
-            blocks.append(U)
-        Z = np.zeros_like(H)
-        for a, U in zip(params.filter.alpha, blocks):
-            Z += a * U
-        return Z, (blocks, None)
-    # BernNet: term k is (2I-L)^k L^{K-k} H; K+1 terms cost O(K^2) applies,
-    # which is the quadratic-in-degree behavior the timing suite measures.
-    K = params.filter.alpha.shape[0] - 1
-    lap_powers = [H]
-    for _ in range(K):
-        lap_powers.append(laplacian_apply(g, lap_powers[-1]))
-    blocks = []
-    for k in range(K + 1):
-        T = lap_powers[K - k]
-        for _ in range(k):
-            T = shifted_apply(g, T)
-        blocks.append(T)
-    Z = np.zeros_like(H)
-    for a, T in zip(params.filter.alpha, blocks):
-        Z += a * T
-    return Z, (blocks, None)
+def _blocks(params: ModelParams, g: SparseGraph, V: np.ndarray):
+    """The architecture's basis blocks B_k(V), one per entry of
+    `_coefficients(params)` and in its order."""
+    spec = params.filter
+    if params.arch == "GSCNet":
+        cache = build_basis_cache(g, V, max(spec.k1, 0), max(spec.k2, 0))
+        return cache.p_blocks[:spec.k1 + 1] + cache.q_blocks[:spec.k2 + 1]
+    if params.arch == "GCN":
+        return [monomial_prop(g, V, params.gcn_depth)]
+    if params.arch == "JKNet":
+        return operator_powers(gcn_norm_apply, g, V, spec.k1 + 1)[1:]
+    return bernstein_blocks(g, V, spec.k1)
 
 
-def _propagate_grad(params: ModelParams, g: SparseGraph, dZ: np.ndarray,
-                    blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward through the propagation stage.
+def _coefficients(params: ModelParams) -> np.ndarray:
+    """c = (alpha, beta); GCN trains no coefficient and weights its one
+    block by 1."""
+    c = np.concatenate([params.filter.alpha, params.filter.beta])
+    return c if c.size else np.ones(1)
 
-    Returns (dH, dalpha, dbeta). All operators are symmetric, so dH applies
-    the same polynomial to dZ; coefficient gradients are <dZ, block>."""
-    arch = params.arch
-    if arch == "GSCNet":
-        p_blocks, q_blocks = blocks
-        spec = params.filter
-        dalpha = np.array([float(np.vdot(dZ, P)) for P in p_blocks])
-        dbeta = np.array([float(np.vdot(dZ, Q)) for Q in q_blocks])
-        grad_cache = build_basis_cache(g, dZ, max(spec.k1, 0), max(spec.k2, 0))
-        dH = gsc_combine(grad_cache, spec)
-        return dH, dalpha, dbeta
-    if arch == "GCN":
-        dH = dZ
-        for _ in range(params.gcn_depth):
-            dH = gcn_norm_apply(g, dH)
-        return dH, np.zeros(0), np.zeros(0)
-    if arch == "JKNet":
-        u_blocks, _ = blocks
-        dalpha = np.array([float(np.vdot(dZ, U)) for U in u_blocks])
-        dH = np.zeros_like(dZ)
-        V = dZ
-        for a in params.filter.alpha:
-            V = gcn_norm_apply(g, V)
-            dH += a * V
-        return dH, dalpha, np.zeros(0)
-    # BernNet
-    t_blocks, _ = blocks
-    K = params.filter.alpha.shape[0] - 1
-    dalpha = np.array([float(np.vdot(dZ, T)) for T in t_blocks])
-    lap_powers = [dZ]
-    for _ in range(K):
-        lap_powers.append(laplacian_apply(g, lap_powers[-1]))
-    dH = np.zeros_like(dZ)
-    for k, a in enumerate(params.filter.alpha):
-        V = lap_powers[K - k]
-        for _ in range(k):
-            V = shifted_apply(g, V)
-        dH += a * V
-    return dH, dalpha, np.zeros(0)
+
+def _propagate(params: ModelParams, g: SparseGraph, V: np.ndarray):
+    """(sum_k c_k B_k(V), the blocks B_k(V))."""
+    blocks = _blocks(params, g, V)
+    return combine(blocks, _coefficients(params)), blocks
 
 
 def forward(params: ModelParams, g: SparseGraph, X, mode: str = "eval",
@@ -330,7 +245,8 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     mask = np.asarray(mask, dtype=bool)
     loss, dZ = softmax_cross_entropy(logits, labels, mask)
 
-    dH, dalpha, dbeta = _propagate_grad(params, g, dZ, tape["blocks"])
+    # The operators are symmetric: dH is the same propagation run on dZ.
+    dH, _ = _propagate(params, g, dZ)
     if tape["mask_conv"] is not None:
         dH = dH * tape["mask_conv"]
     grads = {"w2": tape["h1"].T @ dH, "b2": dH.sum(axis=0)}
@@ -338,10 +254,12 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     grads["w1"] = tape["Xd"].T @ da1
     grads["b1"] = da1.sum(axis=0)
 
-    if params.filter.alpha.size:
-        grads["alpha"] = dalpha
-    if params.filter.beta.size:
-        grads["beta"] = dbeta
+    na, nb = params.filter.alpha.size, params.filter.beta.size
+    dc = np.array([float(np.vdot(dZ, B)) for B in tape["blocks"][:na + nb]])
+    if na:
+        grads["alpha"] = dc[:na]
+    if nb:
+        grads["beta"] = dc[na:]
     return loss, grads
 
 

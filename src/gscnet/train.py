@@ -51,12 +51,12 @@ class RunRecord:
     diverged: bool = False
 
     def to_json(self) -> dict:
+        # The wall time stays out, so the record repeats bit for bit.
         return {"seed": self.seed, "arch": self.arch, "k1": self.k1,
                 "k2": self.k2, "best_epoch": self.best_epoch,
                 "best_val_acc": self.best_val_acc, "test_acc": self.test_acc,
-                "total_s": self.total_s, "alpha": self.alpha,
-                "beta": self.beta, "num_epochs": len(self.epochs),
-                "diverged": self.diverged}
+                "alpha": self.alpha, "beta": self.beta,
+                "num_epochs": len(self.epochs), "diverged": self.diverged}
 
 
 def evaluate(params: ModelParams, ds: Dataset, split: Split) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gscnet.basis import (BasisCache, FilterSpec, bernstein_term,
+from gscnet.basis import (BasisCache, FilterSpec, bernstein_blocks,
                           build_basis_cache, gsc_combine, monomial_prop)
 from gscnet.errors import InputError
 from gscnet.graph import build_csr, laplacian_apply, shifted_apply
@@ -22,17 +22,6 @@ class TestFilterSpec:
         spec = FilterSpec(alpha=[1.0, 2.0], beta=[0.5])
         assert spec.k1 == 1 and spec.k2 == 0
         assert FilterSpec().k1 == -1
-
-    def test_json_roundtrip(self):
-        spec = FilterSpec(alpha=[1.0, 0.0, -2.0], beta=[3.0])
-        again = FilterSpec.from_json(spec.to_json())
-        assert np.array_equal(spec.alpha, again.alpha)
-        assert np.array_equal(spec.beta, again.beta)
-
-    def test_json_degree_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            FilterSpec.from_json({"k1": 3, "k2": 0,
-                                  "alpha": [1.0], "beta": [1.0]})
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
@@ -149,8 +138,11 @@ class TestBernsteinTerm:
     def test_endpoints_reduce_to_single_operators(self, rng):
         g = build_csr(P3_EDGES, 3)
         X = rng.normal(size=(3, 2))
-        assert np.array_equal(bernstein_term(g, X, 1, 0), shifted_apply(g, X))
-        assert np.array_equal(bernstein_term(g, X, 1, 1), laplacian_apply(g, X))
+        lap, shifted = bernstein_blocks(g, X, 1)
+        assert np.array_equal(lap, laplacian_apply(g, X))
+        assert np.array_equal(shifted, shifted_apply(g, X))
+        (only,) = bernstein_blocks(g, X, 0)
+        assert np.array_equal(only, X)
 
     def test_matches_dense_oracle(self, rng):
         edges = er_edges(rng, 15, 0.3)
@@ -158,15 +150,19 @@ class TestBernsteinTerm:
         X = rng.normal(size=(15, 3))
         S = dense_shifted_ref(edges, 15)
         L = dense_laplacian_ref(edges, 15)
-        dense = matrix_power(S, 1) @ matrix_power(L, 2) @ X
-        got = bernstein_term(g, X, 3, 2)
-        rel = np.linalg.norm(got - dense) / max(np.linalg.norm(dense), 1e-30)
-        assert rel <= 1e-10
+        K = 3
+        blocks = bernstein_blocks(g, X, K)
+        assert len(blocks) == K + 1
+        for k, got in enumerate(blocks):
+            dense = matrix_power(S, k) @ matrix_power(L, K - k) @ X
+            rel = np.linalg.norm(got - dense) \
+                / max(np.linalg.norm(dense), 1e-30)
+            assert rel <= 1e-10
 
     def test_out_of_range_rejected(self):
         g = build_csr(K2_EDGES, 2)
         with pytest.raises(InputError):
-            bernstein_term(g, np.zeros((2, 1)), 2, 3)
+            bernstein_blocks(g, np.zeros((2, 1)), -1)
 
 
 class TestMonomialProp:

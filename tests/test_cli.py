@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from gscnet import experiments
 from gscnet.cli import main
+from gscnet.experiments import ExperimentConfig
 
 TINY = {"dataset": {"kind": "csbm", "n": 80, "d": 6, "p_intra": 0.3,
                     "p_inter": 0.05, "mu": 1.5, "sigma": 0.8},
@@ -18,6 +20,12 @@ def write_config(tmp_path, obj=TINY):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def assert_environment(artifact, workers):
+    env = artifact["environment"]
+    assert set(env) == {"numpy", "blas", "blas_threads_per_worker", "nproc"}
+    assert env == experiments.environment(workers)
 
 
 class TestTrainCommand:
@@ -35,6 +43,14 @@ class TestTrainCommand:
         assert set(env) == {"numpy", "blas", "blas_threads_per_worker",
                             "nproc"}
         assert env["numpy"] == np.__version__ and env["nproc"] >= 1
+        records = experiments.cmd_train(ExperimentConfig.from_json(TINY),
+                                        record_epochs=False)["records"]
+        assert [r["seed"] for r in summary["runs"]] == [0, 1]
+        for run, record in zip(summary["runs"], records):
+            assert run["alpha"] == record.alpha
+            assert run["beta"] == record.beta
+            assert run["best_epoch"] == record.best_epoch
+            assert run["diverged"] is False and "total_s" not in run
 
     def test_rerun_identical_modulo_times(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -73,16 +89,18 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "k1,k2,mean_test_acc,ci95"
         assert len(lines) == 3
+        assert_environment(json.loads((out / "sweep.json").read_text()), 1)
 
 
 class TestOversmoothCommand:
     def test_table_outputs(self, tmp_path):
         out = tmp_path / "runs"
         rc = main(["oversmooth", "--config", write_config(tmp_path),
-                   "--depths", "1,2", "--out-dir", str(out)])
+                   "--depths", "1,2", "--out-dir", str(out), "--threads", "2"])
         assert rc == 0
         table = json.loads((out / "oversmooth.json").read_text())
         assert set(table["accuracy"]) == {"GSCNet", "GCN", "JKNet", "BernNet"}
+        assert_environment(table, 2)
         assert (out / "oversmooth.csv").read_text().startswith("arch,depth_1")
 
 
@@ -94,6 +112,7 @@ class TestAblateCommand:
         assert rc == 0
         table = json.loads((out / "ablate.json").read_text())
         assert set(table["rows"]) == {"positive", "negative", "mixed"}
+        assert_environment(table, 1)
 
 
 class TestBenchCommand:

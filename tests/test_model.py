@@ -1,10 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
 from gscnet.data import csbm_generate, CsbmParams, random_split
 from gscnet.errors import InputError
+from gscnet import graph
 from gscnet.graph import build_csr, permute_graph
-from gscnet.model import (AdamState, ModelParams, TrainConfig, accuracy,
+from gscnet.model import (AdamState, TrainConfig, accuracy,
                           adam_step, forward, init_params, loss_and_grad,
                           predict, softmax_cross_entropy)
 from gscnet.suite import _gradcheck_instance, random_connected_graph
@@ -192,6 +195,53 @@ class TestGradients:
         assert worst <= 1e-4
 
 
+def applies_per_pass(arch, k1, k2):
+    """Sparse applies one propagation pass costs."""
+    if arch == "GSCNet":
+        return max(k1, 0) + max(k2, 0)
+    if arch == "BernNet":  # shared L powers, then 2I-L k times for term k
+        return k1 + k1 * (k1 + 1) // 2
+    return k1  # GCN depth, JKNet degree
+
+
+class TestSparseApplyCounts:
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        """Counts every sparse apply, wherever gscnet imported it from."""
+        calls = []
+        for name in ("adjacency_apply", "laplacian_apply", "shifted_apply",
+                     "gcn_norm_apply"):
+            original = getattr(graph, name)
+
+            def counted(g, X, _apply=original, _name=name):
+                calls.append(_name)
+                return _apply(g, X)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "gscnet" \
+                        and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("arch,k1,k2", [
+        ("GSCNet", 3, 3), ("GSCNet", -1, 4), ("GSCNet", 2, -1),
+        ("GSCNet", 0, 0), ("GCN", 3, 0), ("GCN", 0, 0), ("JKNet", 4, 0),
+        ("JKNet", 1, 0), ("BernNet", 5, 0), ("BernNet", 10, 0),
+        ("BernNet", 0, 0)])
+    def test_per_pass(self, applies, rng, arch, k1, k2):
+        n = 12
+        g = build_csr(connected_edges(rng, n), n)
+        X = rng.normal(size=(n, 3))
+        params = init_params(arch, 3, 2, k1, k2, seed=0)
+        per_pass = applies_per_pass(arch, k1, k2)
+
+        loss_and_grad(params, g, X, np.arange(n) % 2, np.ones(n, bool),
+                      TrainConfig(), rng=rng)
+        assert len(applies) == 2 * per_pass  # forward, then backward
+        applies.clear()
+        forward(params, g, X)
+        assert len(applies) == per_pass
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = init_params("GSCNet", 3, 2, 1, 1, seed=0)
@@ -259,25 +309,6 @@ class TestPredict:
         logits = np.array([[np.nan, 0.0], [0.0, np.inf], [0.0, 1.0]])
         assert accuracy(logits, [0, 1, 1], [True, True, True]) == \
             pytest.approx(1 / 3)
-
-
-class TestCheckpoint:
-    def test_json_roundtrip(self):
-        params = init_params("GSCNet", 3, 2, 2, 1, seed=5)
-        again = ModelParams.from_json(params.to_json())
-        assert again.arch == params.arch
-        for key in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(again, key), getattr(params, key))
-        assert np.array_equal(again.filter.alpha, params.filter.alpha)
-        assert np.array_equal(again.filter.beta, params.filter.beta)
-
-    def test_prop_order_other_than_decoupled_rejected(self):
-        obj = init_params("GSCNet", 3, 2, 1, 1, seed=5).to_json()
-        assert obj["prop_order"] == "decoupled"
-        del obj["prop_order"]
-        ModelParams.from_json(obj)
-        with pytest.raises(InputError):
-            ModelParams.from_json({**obj, "prop_order": "prop_first"})
 
 
 class TestTraining:
