@@ -14,9 +14,7 @@ model uses, forward and backward.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -58,19 +56,11 @@ class FilterSpec:
 class BasisCache:
     """Propagated blocks P_i = (2I-L)^i X (i <= k1), Q_j = L^j X (j <= k2).
 
-    ``provenance`` records (graph fingerprint, feature fingerprint, k1, k2)
-    of the build inputs. P_0 and Q_0 are the input X itself, bit-exact.
+    P_0 and Q_0 are the input X itself, bit-exact.
     """
 
     p_blocks: tuple
     q_blocks: tuple
-    graph_fingerprint: int
-
-    @cached_property
-    def provenance(self) -> tuple:
-        # Hashing X costs a pass over it, so it waits for the first reader.
-        return (self.graph_fingerprint, zlib.crc32(self.p_blocks[0].tobytes()),
-                self.k1, self.k2)
 
     @property
     def k1(self) -> int:
@@ -98,8 +88,7 @@ def build_basis_cache(g: SparseGraph, X, k1: int, k2: int) -> BasisCache:
     if X.shape[0] != g.n:
         raise InputError(f"feature rows {X.shape[0]} != node count {g.n}")
     return BasisCache(tuple(operator_powers(shifted_apply, g, X, k1)),
-                      tuple(operator_powers(laplacian_apply, g, X, k2)),
-                      g.fingerprint)
+                      tuple(operator_powers(laplacian_apply, g, X, k2)))
 
 
 def combine(blocks, coeffs) -> np.ndarray:

@@ -120,7 +120,8 @@ def _cmd_bench(args) -> int:
     config = _load_config(args)
     report = experiments.cmd_bench(config, warmup=args.warmup)
     out = _out_dir(config)
-    experiments.write_json(os.path.join(out, "bench.json"), report)
+    experiments.write_with_environment(os.path.join(out, "bench.json"),
+                                       report, config, jobs=1)
     with open(os.path.join(out, "bench_epochs.csv"), "w",
               encoding="utf-8") as f:
         f.write("epoch,ms\n")

@@ -96,22 +96,9 @@ class ExperimentConfig:
         obj.pop("schema", None)
         try:
             train = TrainConfig(**obj.pop("train", {}))
-            repeats = obj.pop("repeats", None)
-            seeds = obj.pop("seeds", None)
-            if seeds is None:
-                seeds = list(range(repeats)) if repeats else [0]
-            elif repeats is not None and len(seeds) != repeats:
-                raise ConfigError(
-                    f"seed list length {len(seeds)} != repeats {repeats}")
-            return cls(train=train, seeds=list(seeds), **obj)
+            return cls(train=train, **obj)
         except (TypeError, InputError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
-
-    def to_json(self) -> dict:
-        return {"schema": SCHEMA_VERSION, "dataset": self.dataset,
-                "arch": self.arch, "k1": self.k1, "k2": self.k2,
-                "train": self.train.__dict__, "seeds": list(self.seeds),
-                "out_dir": self.out_dir, "threads": self.threads}
 
 
 # Path triple -> (stamp, Dataset), one entry per triple. The stamp is each

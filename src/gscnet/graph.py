@@ -21,7 +21,6 @@ M keeps its diagonal entry 1 at an isolated node.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,11 +62,6 @@ class SparseGraph:
     def num_edges(self) -> int:
         """Undirected edge count; each self-loop counts once."""
         return (self.nnz + self.num_self_loops) // 2
-
-    @cached_property
-    def fingerprint(self) -> int:
-        crc = zlib.crc32(self.row_ptr.tobytes())
-        return zlib.crc32(self.col_idx.tobytes(), crc)
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]

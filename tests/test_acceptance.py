@@ -4,19 +4,24 @@ One test per criterion; each prints a `[criterion N] PASS/FAIL` line.
 Criteria 1-5 and 9 are direct numerical checks; 6-8 are Monte Carlo
 training comparisons on the declared CSBM presets with frozen seed lists
 and training configs (fully deterministic). Criterion 10 runs only when
-GSCNET_CORA_DIR points at exported Cora files.
+GSCNET_CORA_DIR points at exported Cora files. The protocols of 6-9 are
+also committed as configs/*.json for the CLI; TestCommittedConfigs pins
+each config to its protocol.
 
 The training criteria take minutes; deselect with `-m "not slow"` during
 development.
 """
 
+import json
 import os
+import pathlib
 import time
 
 import numpy as np
 import pytest
 
 from gscnet.basis import FilterSpec, build_basis_cache, gsc_combine
+from gscnet.cli import _parse_range, build_parser
 from gscnet.data import csbm_generate, csbm_params_for, load_dataset, \
     random_split
 from gscnet.experiments import (ExperimentConfig, cmd_ablate_activations,
@@ -146,7 +151,62 @@ OVERSMOOTH_TRAIN = TrainConfig(lr_linear=0.02, lr_prop=0.02,
 SWEEP_TRAIN = TrainConfig(lr_linear=0.02, lr_prop=0.05, weight_decay=0.0005,
                           dropout_linear=0.1, dropout_conv=0.1, epochs=100,
                           patience=30)
+BENCH_TRAIN = TrainConfig(epochs=30, patience=30, dropout_linear=0.1,
+                          dropout_conv=0.1)
 TEN_SEEDS = list(range(10))
+SWEEP_DEGREES = range(7)
+OVERSMOOTH_DEPTHS = [2, 4, 8, 16]
+BENCH_WARMUP = 5
+
+
+def _csbm(regime, **overrides):
+    return {"kind": "csbm", "regime": regime, **overrides}
+
+
+# Each training criterion's protocol, under the name of the committed
+# config (configs/<name>.json) that reproduces it through the CLI.
+PROTOCOLS = {
+    **{f"ablate-{regime}": ExperimentConfig(
+        dataset=_csbm(regime), k1=6, k2=6, train=ABLATION_TRAIN,
+        seeds=TEN_SEEDS) for regime in ("homophily", "heterophily")},
+    "oversmooth-homophily": ExperimentConfig(
+        dataset=_csbm("homophily"), train=OVERSMOOTH_TRAIN, seeds=TEN_SEEDS),
+    **{f"sweep-{regime}": ExperimentConfig(
+        dataset=_csbm(regime), train=SWEEP_TRAIN, seeds=list(range(5)))
+       for regime in ("homophily", "heterophily")},
+    "bench-gscnet": ExperimentConfig(
+        dataset=_csbm("homophily", n=5000), arch="GSCNet", k1=3, k2=3,
+        train=BENCH_TRAIN, seeds=[0]),
+    "bench-bernnet": ExperimentConfig(
+        dataset=_csbm("homophily", n=5000), arch="BernNet", k1=10, k2=0,
+        train=BENCH_TRAIN, seeds=[0]),
+}
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestCommittedConfigs:
+    """`gscnet <command> --config configs/<command>-<variant>.json` runs
+    exactly its criterion's protocol, and the command's default ranges are
+    the criterion's, so a drift fails here instead of in a slow run."""
+
+    def test_one_config_per_protocol(self):
+        assert sorted(p.stem for p in CONFIG_DIR.glob("*.json")) == \
+            sorted(PROTOCOLS)
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_config_equals_protocol(self, name):
+        with open(CONFIG_DIR / f"{name}.json", encoding="utf-8") as f:
+            config = ExperimentConfig.from_json(json.load(f))
+        assert config == PROTOCOLS[name]
+
+    def test_cli_defaults_equal_protocol_ranges(self):
+        parser = build_parser()
+        sweep = parser.parse_args(["sweep"])
+        assert _parse_range(sweep.k1_range) == list(SWEEP_DEGREES)
+        assert _parse_range(sweep.k2_range) == list(SWEEP_DEGREES)
+        depths = parser.parse_args(["oversmooth"]).depths
+        assert [int(d) for d in depths.split(",")] == OVERSMOOTH_DEPTHS
+        assert parser.parse_args(["bench"]).warmup == BENCH_WARMUP
 
 
 @pytest.mark.slow
@@ -155,10 +215,7 @@ class TestCriterion6ActivationAblation:
     def test_pure_vs_mixed_bases(self):
         rows = {}
         for regime in ("homophily", "heterophily"):
-            config = ExperimentConfig(
-                dataset={"kind": "csbm", "regime": regime}, k1=6, k2=6,
-                train=ABLATION_TRAIN, seeds=TEN_SEEDS)
-            table = cmd_ablate_activations(config)
+            table = cmd_ablate_activations(PROTOCOLS[f"ablate-{regime}"])
             rows[regime] = {k: v["mean_test_acc"]
                             for k, v in table["rows"].items()}
         ho, he = rows["homophily"], rows["heterophily"]
@@ -186,10 +243,8 @@ class TestCriterion7Oversmoothing:
     kept as stated rather than weakened to force a pass."""
 
     def test_gscnet_smallest_drop(self):
-        config = ExperimentConfig(
-            dataset={"kind": "csbm", "regime": "homophily"},
-            train=OVERSMOOTH_TRAIN, seeds=TEN_SEEDS)
-        table = cmd_oversmooth(config, [2, 4, 8, 16])
+        table = cmd_oversmooth(PROTOCOLS["oversmooth-homophily"],
+                               OVERSMOOTH_DEPTHS)
         drops = table["drop_to_deepest"]
         others = {a: d for a, d in drops.items() if a != "GSCNet"}
         ok_smallest = drops["GSCNet"] <= min(others.values()) + 1e-12
@@ -208,11 +263,9 @@ class TestCriterion8DegreeSensitivity:
     def test_homophily_spread_not_larger(self):
         spreads = {}
         for regime in ("homophily", "heterophily"):
-            config = ExperimentConfig(
-                dataset={"kind": "csbm", "regime": regime},
-                train=SWEEP_TRAIN, seeds=list(range(5)))
-            spreads[regime] = cmd_sweep_degrees(config, range(7),
-                                                range(7))["spread"]
+            spreads[regime] = cmd_sweep_degrees(
+                PROTOCOLS[f"sweep-{regime}"], SWEEP_DEGREES,
+                SWEEP_DEGREES)["spread"]
         ok = spreads["homophily"] <= spreads["heterophily"]
         report(8, ok, f"spreads {spreads}")
         assert ok, spreads
@@ -222,14 +275,10 @@ class TestCriterion8DegreeSensitivity:
 @pytest.mark.acceptance
 class TestCriterion9Timing:
     def test_per_epoch_ordering_and_cache_scaling(self):
-        dataset = {"kind": "csbm", "regime": "homophily", "n": 5000}
-        train = TrainConfig(epochs=30, patience=30, dropout_linear=0.1,
-                            dropout_conv=0.1)
         times = {}
-        for arch, k1, k2 in (("GSCNet", 3, 3), ("BernNet", 10, 0)):
-            config = ExperimentConfig(dataset=dataset, arch=arch, k1=k1,
-                                      k2=k2, train=train, seeds=[0])
-            times[arch] = cmd_bench(config, warmup=5)["per_epoch_ms"]
+        for arch in ("GSCNet", "BernNet"):
+            times[arch] = cmd_bench(PROTOCOLS[f"bench-{arch.lower()}"],
+                                    warmup=BENCH_WARMUP)["per_epoch_ms"]
         ok_order = times["GSCNet"] < times["BernNet"]
 
         ds = csbm_generate(csbm_params_for("homophily", n=5000,

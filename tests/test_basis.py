@@ -69,14 +69,6 @@ class TestBasisCache:
                     / max(np.linalg.norm(dense), 1e-30)
                 assert rel <= 1e-10
 
-    def test_provenance_tracks_inputs(self, rng):
-        g = build_csr(K2_EDGES, 2)
-        X = rng.normal(size=(2, 2))
-        c1 = build_basis_cache(g, X, 1, 1)
-        c2 = build_basis_cache(g, X + 1.0, 1, 1)
-        assert c1.provenance != c2.provenance
-        assert c1.provenance[0] == c2.provenance[0]
-
     def test_negative_degree_rejected(self):
         g = build_csr(K2_EDGES, 2)
         with pytest.raises(InputError):

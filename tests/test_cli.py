@@ -123,6 +123,7 @@ class TestBenchCommand:
         assert rc == 0
         report = json.loads((out / "bench.json").read_text())
         assert report["per_epoch_ms"] > 0
+        assert_environment(report, 1)
         assert (out / "bench_epochs.csv").exists()
 
     def test_empty_window_exits_2(self, tmp_path):

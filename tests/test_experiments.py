@@ -49,14 +49,6 @@ class TestConfig:
         cfg = ExperimentConfig.from_json({})
         assert cfg.arch == "GSCNet" and cfg.seeds == [0]
 
-    def test_repeats_generate_seeds(self):
-        cfg = ExperimentConfig.from_json({"repeats": 3})
-        assert cfg.seeds == [0, 1, 2]
-
-    def test_repeats_seed_mismatch(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_json({"repeats": 3, "seeds": [0]})
-
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json({"archh": "GSCNet"})
