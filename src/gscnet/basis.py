@@ -131,7 +131,5 @@ def monomial_prop(g: SparseGraph, X, k: int) -> np.ndarray:
     """k-step self-loop-normalized propagation; k = 0 is the identity."""
     if k < 0:
         raise InputError(f"step count must be non-negative, got {k}")
-    Y = np.asarray(X, dtype=np.float64)
-    for _ in range(k):
-        Y = gcn_norm_apply(g, Y)
-    return Y
+    return operator_powers(gcn_norm_apply, g,
+                           np.asarray(X, dtype=np.float64), k)[-1]

@@ -19,10 +19,19 @@ from .data import CsbmParams, csbm_generate, csbm_params_for, load_dataset, \
     save_dataset
 from .errors import ConfigError, DataError, GscnetError, InputError
 from .experiments import ExperimentConfig, SCHEMA_VERSION
-from .model import ARCHITECTURES
+
+
+def _parse_ints(text: str, what: str) -> list:
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be comma-separated integers, "
+                          f"got {text!r}") from exc
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file with the command-line overrides merged in, validated
+    once."""
     obj = {}
     if args.config:
         try:
@@ -32,15 +41,15 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    config = ExperimentConfig.from_json(obj)
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
     if args.seed_list:
-        seeds = [int(s) for s in args.seed_list.split(",") if s.strip()]
-        config = ExperimentConfig(**{**config.__dict__, "seeds": seeds})
+        obj = {**obj, "seeds": _parse_ints(args.seed_list, "--seed-list")}
     if args.out_dir:
-        config.out_dir = args.out_dir
-    if args.threads:
-        config.threads = args.threads
-    return config
+        obj = {**obj, "out_dir": args.out_dir}
+    if args.threads is not None:
+        obj = {**obj, "threads": args.threads}
+    return ExperimentConfig.from_json(obj)
 
 
 def _out_dir(config: ExperimentConfig) -> str:
@@ -59,8 +68,7 @@ def _cmd_train(args) -> int:
     s = result["summary"]
     experiments.write_with_environment(
         os.path.join(out, "summary.json"),
-        {**s, "runs": [r.to_json() for r in result["records"]]},
-        config, jobs=len(config.seeds))
+        {**s, "runs": [r.to_json() for r in result["records"]]}, config)
     print(f"{config.arch} (k1={config.k1}, k2={config.k2}): "
           f"test acc {s['mean_test_acc']:.4f} +/- {s['ci95']:.4f} "
           f"over {len(config.seeds)} seed(s)")
@@ -71,10 +79,14 @@ def _cmd_train(args) -> int:
 
 
 def _parse_range(text: str) -> list:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t.strip()]
+    if ":" not in text:
+        return _parse_ints(text, "a degree range")
+    try:
+        lo, hi = (int(t) for t in text.split(":"))
+    except ValueError as exc:
+        raise ConfigError(f"a degree range must be lo:hi or a comma list, "
+                          f"got {text!r}") from exc
+    return list(range(lo, hi + 1))
 
 
 def _cmd_sweep(args) -> int:
@@ -83,8 +95,7 @@ def _cmd_sweep(args) -> int:
     table = experiments.cmd_sweep_degrees(config, k1s, k2s)
     out = _out_dir(config)
     experiments.write_with_environment(
-        os.path.join(out, "sweep.json"), table, config,
-        jobs=len(k1s) * len(k2s) * len(config.seeds))
+        os.path.join(out, "sweep.json"), table, config)
     experiments.write_grid_csv(os.path.join(out, "sweep.csv"), table)
     print(f"sweep spread (max-min mean acc): {table['spread']:.4f}")
     return 0
@@ -92,12 +103,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oversmooth(args) -> int:
     config = _load_config(args)
-    depths = [int(d) for d in args.depths.split(",")]
+    depths = _parse_ints(args.depths, "--depths")
     table = experiments.cmd_oversmooth(config, depths)
     out = _out_dir(config)
     experiments.write_with_environment(
-        os.path.join(out, "oversmooth.json"), table, config,
-        jobs=len(ARCHITECTURES) * len(depths) * len(config.seeds))
+        os.path.join(out, "oversmooth.json"), table, config)
     experiments.write_depth_csv(os.path.join(out, "oversmooth.csv"), table)
     for arch, drop in table["drop_to_deepest"].items():
         print(f"{arch}: drop to depth {depths[-1]} = {drop:.4f}")
@@ -109,19 +119,18 @@ def _cmd_ablate(args) -> int:
     table = experiments.cmd_ablate_activations(config)
     out = _out_dir(config)
     experiments.write_with_environment(
-        os.path.join(out, "ablate.json"), table, config,
-        jobs=len(experiments.ABLATION_VARIANTS) * len(config.seeds))
+        os.path.join(out, "ablate.json"), table, config)
     for variant, row in table["rows"].items():
         print(f"{variant}: {row['mean_test_acc']:.4f} +/- {row['ci95']:.4f}")
     return 0
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args)
+    config = experiments.bench_config(_load_config(args))
     report = experiments.cmd_bench(config, warmup=args.warmup)
     out = _out_dir(config)
     experiments.write_with_environment(os.path.join(out, "bench.json"),
-                                       report, config, jobs=1)
+                                       report, config)
     with open(os.path.join(out, "bench_epochs.csv"), "w",
               encoding="utf-8") as f:
         f.write("epoch,ms\n")

@@ -3,8 +3,11 @@ activation ablations and timing, all as pure functions of their config.
 
 Seed pairing: within one command every model/cell sees the same per-seed
 dataset and split, so comparisons are paired rather than confounded by
-sampling. Multi-seed fan-out uses worker threads with per-run generators;
-aggregation sorts by seed so the output is order-independent.
+sampling. The seed is the one unit of fan-out: each seed's job builds its
+dataset and split once and trains all of the command's cells on them, on
+min(threads, seeds) worker threads with per-run generators. A file dataset
+is loaded once per command, before the fan-out. Aggregation sorts by seed
+so the output is order-independent.
 
 BLAS threads: while more than one worker runs, OpenBLAS is capped to its
 share of the cores per worker, max(1, min(current, nproc // workers)), and
@@ -23,7 +26,6 @@ import functools
 import json
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import build_basis_cache
-from .data import (CsbmParams, Dataset, Split, csbm_generate, csbm_params_for,
+from .data import (CsbmParams, Dataset, csbm_generate, csbm_params_for,
                    load_dataset, random_split)
 from .errors import ConfigError, InputError
 from .model import ARCHITECTURES, TrainConfig
@@ -85,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if not self.seeds:
             raise ConfigError("seed list must not be empty")
+        if not all(isinstance(s, int) for s in self.seeds):
+            raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seed list contains duplicates")
         if self.threads < 1:
@@ -95,55 +99,48 @@ class ExperimentConfig:
         obj = dict(obj)
         obj.pop("schema", None)
         try:
-            train = TrainConfig(**obj.pop("train", {}))
-            return cls(train=train, **obj)
+            train = obj.pop("train", {})
+            if "seed" in train:
+                # Each run trains with its own seed from `seeds`.
+                raise ConfigError("train.seed is not settable; list the "
+                                  "run seeds in `seeds`")
+            return cls(train=TrainConfig(**train), **obj)
         except (TypeError, InputError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
-# Path triple -> (stamp, Dataset), one entry per triple. The stamp is each
-# file's (st_mtime_ns, st_size); a rewrite that keeps the size within the
-# file system's timestamp granularity is not seen.
-_FILE_CACHE: dict = {}
-_FILE_CACHE_LOCK = threading.Lock()
-
-
-def make_dataset(spec: dict, seed: int) -> Dataset:
-    """Instantiate the configured dataset for one seed.
-
-    CSBM datasets are redrawn per seed; file datasets are loaded once and
-    shared (they are immutable) until one of their files changes.
-    """
+def _dataset_source(spec: dict):
+    """seed -> Dataset for the configured dataset. A CSBM is drawn per seed;
+    a file dataset is loaded here, once, and every seed shares it (it is
+    immutable)."""
     kind = spec.get("kind", "csbm")
     if kind == "csbm":
         opts = {k: v for k, v in spec.items() if k not in ("kind", "regime")}
         if "regime" in spec:
-            params = csbm_params_for(spec["regime"], seed=seed, **opts)
-        else:
-            params = CsbmParams(seed=seed, **opts)
-        return csbm_generate(params)
+            return lambda seed: csbm_generate(
+                csbm_params_for(spec["regime"], seed=seed, **opts))
+        return lambda seed: csbm_generate(CsbmParams(seed=seed, **opts))
     if kind == "files":
-        paths = (spec["edges"], spec["features"], spec["labels"])
-        with _FILE_CACHE_LOCK:
-            try:
-                stamp = tuple((st.st_mtime_ns, st.st_size)
-                              for st in map(os.stat, paths))
-            except OSError:
-                return load_dataset(*paths)  # raises DataError naming the file
-            hit = _FILE_CACHE.get(paths)
-            if hit is None or hit[0] != stamp:
-                hit = _FILE_CACHE[paths] = (stamp, load_dataset(*paths))
-            return hit[1]
+        ds = load_dataset(spec["edges"], spec["features"], spec["labels"])
+        return lambda seed: ds
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int, arch: str,
-                  k1: int, k2: int, record_epochs: bool) -> RunRecord:
-    ds = make_dataset(config.dataset, seed)
+def make_dataset(spec: dict, seed: int) -> Dataset:
+    """The configured dataset for one seed."""
+    return _dataset_source(spec)(seed)
+
+
+def _run_one_seed(config: ExperimentConfig, source, seed: int, cells: list,
+                  record_epochs: bool) -> list:
+    """Train each (arch, k1, k2) cell on the seed's dataset and split, built
+    once for all of them; returns their RunRecords in cell order."""
+    ds = source(seed)
     split = random_split(ds.n, seed=seed)
     cfg = replace(config.train, seed=seed)
-    return train_single(ds, split, arch, k1, k2, cfg,
-                        record_epochs=record_epochs)
+    return [train_single(ds, split, arch, k1, k2, cfg,
+                         record_epochs=record_epochs)
+            for arch, k1, k2 in cells]
 
 
 @functools.cache
@@ -218,21 +215,35 @@ def environment(workers: int) -> dict:
             "blas_threads_per_worker": threads, "nproc": _nproc()}
 
 
-def fan_out_workers(config: ExperimentConfig, jobs: int) -> int:
-    """Worker threads that run at once when `jobs` jobs fan out."""
-    return min(config.threads, jobs)
+def fan_out_workers(config: ExperimentConfig) -> int:
+    """Worker threads that run at once: one job per seed."""
+    return min(config.threads, len(config.seeds))
 
 
 def _fan_out(config: ExperimentConfig, jobs: list) -> list:
     """jobs: list of (key, callable); returns [(key, result)] sorted by key."""
-    if config.threads == 1:
+    workers = fan_out_workers(config)
+    if workers == 1:
         results = [(key, fn()) for key, fn in jobs]
     else:
-        with blas_threads_per_worker(fan_out_workers(config, len(jobs))), \
-                ThreadPoolExecutor(max_workers=config.threads) as pool:
+        with blas_threads_per_worker(workers), \
+                ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [(key, pool.submit(fn)) for key, fn in jobs]
             results = [(key, f.result()) for key, f in futures]
     return sorted(results, key=lambda kv: kv[0])
+
+
+def _run_cells(config: ExperimentConfig, cells, record_epochs: bool = False
+               ) -> list:
+    """Train every (arch, k1, k2) cell on every seed, one job per seed;
+    returns, per cell, its RunRecords in seed order."""
+    cells = list(cells)
+    source = _dataset_source(config.dataset)
+    jobs = [(seed, functools.partial(_run_one_seed, config, source, seed,
+                                     cells, record_epochs))
+            for seed in config.seeds]
+    per_seed = [records for _, records in _fan_out(config, jobs)]
+    return [list(records) for records in zip(*per_seed)]
 
 
 def summarize_records(records: list) -> dict:
@@ -245,10 +256,8 @@ def summarize_records(records: list) -> dict:
 
 def cmd_train(config: ExperimentConfig, record_epochs: bool = True) -> dict:
     """Train config.arch over the seed list; summary uses best-val selection."""
-    jobs = [(seed, (lambda s=seed: _run_one_seed(
-        config, s, config.arch, config.k1, config.k2, record_epochs)))
-        for seed in config.seeds]
-    records = [r for _, r in _fan_out(config, jobs)]
+    records, = _run_cells(config, [(config.arch, config.k1, config.k2)],
+                          record_epochs)
     summary = {"schema": SCHEMA_VERSION, "command": "train",
                "arch": config.arch, "k1": config.k1, "k2": config.k2,
                "dataset": config.dataset, **summarize_records(records)}
@@ -264,21 +273,13 @@ def cmd_sweep_degrees(config: ExperimentConfig, k1_range, k2_range) -> dict:
     if min(k1_range + k2_range) < 0 or max(k1_range + k2_range) > 6:
         raise ConfigError("sweep degrees must lie in [0, 6]")
 
-    jobs = []
-    for k1 in k1_range:
-        for k2 in k2_range:
-            for seed in config.seeds:
-                jobs.append(((k1, k2, seed),
-                             (lambda a=k1, b=k2, s=seed: _run_one_seed(
-                                 config, s, config.arch, a, b, False))))
-    results = _fan_out(config, jobs)
-
-    grid = {}
-    for (k1, k2, _), rec in results:
-        grid.setdefault((k1, k2), []).append(rec.test_acc)
-    cells = [{"k1": k1, "k2": k2, "mean_test_acc": mean_ci95(v)[0],
-              "ci95": mean_ci95(v)[1]}
-             for (k1, k2), v in sorted(grid.items())]
+    grid = sorted({(k1, k2) for k1 in k1_range for k2 in k2_range})
+    per_cell = _run_cells(config, [(config.arch, k1, k2) for k1, k2 in grid])
+    cells = []
+    for (k1, k2), records in zip(grid, per_cell):
+        mean, ci = mean_ci95([r.test_acc for r in records])
+        cells.append({"k1": k1, "k2": k2, "mean_test_acc": mean,
+                      "ci95": ci})
     means = [c["mean_test_acc"] for c in cells]
     return {"schema": SCHEMA_VERSION, "command": "sweep",
             "arch": config.arch, "dataset": config.dataset,
@@ -298,22 +299,12 @@ def cmd_oversmooth(config: ExperimentConfig, depths) -> dict:
     depths = list(depths)
     if not depths or min(depths) < 1:
         raise ConfigError("depths must be >= 1")
-    jobs = []
-    for arch in ARCHITECTURES:
-        for depth in depths:
-            k1, k2 = _depth_degrees(arch, depth)
-            for seed in config.seeds:
-                jobs.append(((arch, depth, seed),
-                             (lambda a=arch, d1=k1, d2=k2, s=seed:
-                              _run_one_seed(config, s, a, d1, d2, False))))
-    results = _fan_out(config, jobs)
-
-    table = {}
-    for (arch, depth, _), rec in results:
-        table.setdefault(arch, {}).setdefault(depth, []).append(rec.test_acc)
-    rows = {}
-    for arch in ARCHITECTURES:
-        rows[arch] = {str(d): mean_ci95(table[arch][d])[0] for d in depths}
+    cells = {(arch, depth): (arch, *_depth_degrees(arch, depth))
+             for arch in ARCHITECTURES for depth in depths}
+    accs = {key: [r.test_acc for r in records] for key, records
+            in zip(cells, _run_cells(config, cells.values()))}
+    rows = {arch: {str(d): mean_ci95(accs[arch, d])[0] for d in depths}
+            for arch in ARCHITECTURES}
     # Two decline measures: from the per-model peak, and end to end across
     # the sweep (negative = the model gains accuracy with depth).
     drops = {arch: max(vals.values()) - vals[str(depths[-1])]
@@ -326,33 +317,28 @@ def cmd_oversmooth(config: ExperimentConfig, depths) -> dict:
             "decline_shallow_to_deep": declines}
 
 
-ABLATION_VARIANTS = ("positive", "negative", "mixed")
-
-
 def cmd_ablate_activations(config: ExperimentConfig) -> dict:
     """GSCNet with the pure shifted basis, the pure Laplacian basis, and the
     mixed basis, on shared seeds/splits."""
     variant_degrees = {"positive": (config.k1, -1),
                        "negative": (-1, config.k2),
                        "mixed": (config.k1, config.k2)}
-    jobs = []
-    for variant, (k1, k2) in variant_degrees.items():
-        for seed in config.seeds:
-            jobs.append(((variant, seed),
-                         (lambda a=k1, b=k2, s=seed: _run_one_seed(
-                             config, s, "GSCNet", a, b, False))))
-    results = _fan_out(config, jobs)
-
-    accs = {variant: [] for variant in ABLATION_VARIANTS}
-    for (variant, _), rec in results:
-        accs[variant].append(rec.test_acc)
+    per_cell = _run_cells(config, [("GSCNet", k1, k2)
+                                   for k1, k2 in variant_degrees.values()])
     rows = {}
-    for variant in ABLATION_VARIANTS:
-        mean, ci = mean_ci95(accs[variant])
+    for (variant, degrees), records in zip(variant_degrees.items(),
+                                           per_cell):
+        mean, ci = mean_ci95([r.test_acc for r in records])
         rows[variant] = {"mean_test_acc": mean, "ci95": ci,
-                         "degrees": list(variant_degrees[variant])}
+                         "degrees": list(degrees)}
     return {"schema": SCHEMA_VERSION, "command": "ablate",
             "dataset": config.dataset, "rows": rows}
+
+
+def bench_config(config: ExperimentConfig) -> ExperimentConfig:
+    """The config `cmd_bench` runs: the first seed, every epoch."""
+    return replace(config, seeds=config.seeds[:1],
+                   train=replace(config.train, patience=config.train.epochs))
 
 
 def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
@@ -364,11 +350,9 @@ def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
         raise ConfigError(
             f"no measurement window: epochs={config.train.epochs} "
             f"with warmup={warmup}")
-    seed = config.seeds[0]
-    ds = make_dataset(config.dataset, seed)
-    split = random_split(ds.n, seed=seed)
-    cfg = replace(config.train, seed=seed, patience=config.train.epochs)
-    record = train_single(ds, split, config.arch, config.k1, config.k2, cfg)
+    (record,), = _run_cells(bench_config(config),
+                            [(config.arch, config.k1, config.k2)],
+                            record_epochs=True)
     series = [e.ms for e in record.epochs]
     measured = series[warmup:]
     return {"schema": SCHEMA_VERSION, "command": "bench",
@@ -395,13 +379,11 @@ def write_json(path, obj: dict):
         f.write("\n")
 
 
-def write_with_environment(path, obj: dict, config: ExperimentConfig,
-                           jobs: int):
-    """write_json with the `environment` block of a command that fanned
-    `jobs` jobs out under `config`, since the artifact's bytes depend on
-    it."""
+def write_with_environment(path, obj: dict, config: ExperimentConfig):
+    """write_json with the `environment` block of a command run under
+    `config`, since the artifact's bytes depend on it."""
     write_json(path, {**obj, "environment": environment(
-        fan_out_workers(config, jobs))})
+        fan_out_workers(config))})
 
 
 def write_records_jsonl(path, record: RunRecord):

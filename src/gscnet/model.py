@@ -74,10 +74,6 @@ class ModelParams:
     def d_in(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def d_out(self) -> int:
-        return self.w2.shape[1]
-
     def trainable(self) -> dict:
         groups = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
         if self.filter.alpha.size:
@@ -273,12 +269,10 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: ModelParams, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: ModelParams) -> "AdamState":
         groups = params.trainable()
         return cls(m={k: np.zeros_like(v) for k, v in groups.items()},
-                   v={k: np.zeros_like(v) for k, v in groups.items()},
-                   beta1=beta1, beta2=beta2, eps=eps)
+                   v={k: np.zeros_like(v) for k, v in groups.items()})
 
 
 # MLP weights get lr_linear and L2 decay; propagation coefficients get

@@ -78,6 +78,21 @@ class TestTrainCommand:
         assert main(["train", "--config",
                      write_config(tmp_path, {**TINY, "arch": "GAT"})]) == 2
 
+    @pytest.mark.parametrize("flags", [["--threads", "-1"],
+                                       ["--threads", "0"],
+                                       ["--seed-list", "a"]])
+    def test_bad_override_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "runs"
+        assert main(["train", "--config", write_config(tmp_path),
+                     "--out-dir", str(out), *flags]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_seed_exits_2(self, tmp_path):
+        cfg = {**TINY, "train": {**TINY["train"], "seed": 7}}
+        assert main(["train", "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(tmp_path / "runs")]) == 2
+
 
 class TestSweepCommand:
     def test_grid_csv(self, tmp_path):
@@ -90,6 +105,11 @@ class TestSweepCommand:
         assert lines[0] == "k1,k2,mean_test_acc,ci95"
         assert len(lines) == 3
         assert_environment(json.loads((out / "sweep.json").read_text()), 1)
+
+    @pytest.mark.parametrize("flag", ["--k1-range", "--k2-range"])
+    def test_bad_range_exits_2(self, tmp_path, flag):
+        assert main(["sweep", "--config", write_config(tmp_path), flag,
+                     "0:a", "--out-dir", str(tmp_path / "runs")]) == 2
 
 
 class TestOversmoothCommand:
@@ -125,6 +145,14 @@ class TestBenchCommand:
         assert report["per_epoch_ms"] > 0
         assert_environment(report, 1)
         assert (out / "bench_epochs.csv").exists()
+
+    def test_times_one_seed_serially(self, tmp_path):
+        # Two seeds and two threads, but bench runs only the first seed.
+        out = tmp_path / "runs"
+        rc = main(["bench", "--config", write_config(tmp_path),
+                   "--threads", "2", "--out-dir", str(out)])
+        assert rc == 0
+        assert_environment(json.loads((out / "bench.json").read_text()), 1)
 
     def test_empty_window_exits_2(self, tmp_path):
         cfg = {**TINY, "train": {**TINY["train"], "epochs": 1}}

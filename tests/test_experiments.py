@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gscnet import experiments, train
-from gscnet.data import CsbmParams, csbm_generate, save_dataset
+from gscnet.data import (CsbmParams, csbm_generate, random_split,
+                         save_dataset)
 from gscnet.errors import ConfigError
 from gscnet.experiments import (ExperimentConfig, cmd_ablate_activations,
                                 cmd_bench, cmd_oversmooth, cmd_sweep_degrees,
@@ -57,6 +59,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json({"arch": "GAT"})
 
+    def test_train_seed_rejected(self):
+        # Every run trains with its own seed from `seeds`, so a train.seed
+        # would be silently replaced.
+        with pytest.raises(ConfigError, match="train.seed"):
+            ExperimentConfig.from_json({"train": {"seed": 7}})
+
+    @pytest.mark.parametrize("seeds", [["a"], [1.5], [0, None]])
+    def test_non_integer_seed_rejected(self, seeds):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json({"seeds": seeds})
+
 
 class TestMakeDataset:
     def test_file_dataset_reloads_after_rewrite(self, tmp_path):
@@ -66,17 +79,125 @@ class TestMakeDataset:
         save_dataset(ds, *paths)
         spec = {"kind": "files", "edges": paths[0], "features": paths[1],
                 "labels": paths[2]}
-        first = make_dataset(spec, 0)
-        assert make_dataset(spec, 1) is first
+        make_dataset(spec, 0)
 
         flipped = 1 - ds.labels
         with open(paths[2], "w", encoding="utf-8") as f:
             f.write("".join(f"{y}\n" for y in flipped))
-        # Same size as before; move the mtime past the file system's
-        # timestamp granularity, as any later write would.
-        st = os.stat(paths[2])
-        os.utime(paths[2], ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
         assert np.array_equal(make_dataset(spec, 0).labels, flipped)
+
+
+def write_files_spec(tmp_path, ds):
+    paths = [str(tmp_path / f)
+             for f in ("edges.txt", "features.csv", "labels.txt")]
+    save_dataset(ds, *paths)
+    return {"kind": "files", "edges": paths[0], "features": paths[1],
+            "labels": paths[2]}
+
+
+def spy_train_single(monkeypatch):
+    """Record (seed, arch, k1, k2, labels, record) of every run the commands
+    train."""
+    real = experiments.train_single
+    runs = []
+
+    def spy(ds, split, arch, k1, k2, cfg, record_epochs=True):
+        record = real(ds, split, arch, k1, k2, cfg,
+                      record_epochs=record_epochs)
+        runs.append((cfg.seed, arch, k1, k2, ds.labels.copy(), record))
+        return record
+
+    monkeypatch.setattr(experiments, "train_single", spy)
+    return runs
+
+
+def record_bytes(record):
+    return (record.seed, record.arch, record.k1, record.k2,
+            record.best_epoch, record.best_val_acc, record.test_acc,
+            record.alpha, record.beta, record.diverged,
+            [(e.epoch, e.train_loss, e.val_acc, e.test_acc)
+             for e in record.epochs])
+
+
+class TestOneJobPerSeed:
+    @pytest.mark.parametrize("command", [
+        lambda c: cmd_sweep_degrees(c, [0, 2], [1, 3]),
+        # Four architectures in each seed's job.
+        lambda c: cmd_oversmooth(c, [1, 2]),
+        # A family switched off in the positive and negative variants.
+        lambda c: cmd_ablate_activations(c),
+    ], ids=["sweep", "oversmooth", "ablate"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_records_equal_train_single(self, monkeypatch, command, threads):
+        config = tiny_config(threads=threads)
+        runs = spy_train_single(monkeypatch)
+        command(config)
+        monkeypatch.undo()
+        assert {seed for seed, *_ in runs} == set(config.seeds)
+        for seed, arch, k1, k2, _, record in runs:
+            ds = make_dataset(config.dataset, seed)
+            cfg = replace(config.train, seed=seed)
+            alone = train.train_single(ds, random_split(ds.n, seed=seed),
+                                       arch, k1, k2, cfg,
+                                       record_epochs=False)
+            assert record_bytes(record) == record_bytes(alone)
+
+    def test_aggregates_are_the_records(self, monkeypatch):
+        runs = spy_train_single(monkeypatch)
+        table = cmd_ablate_activations(tiny_config(k1=2, k2=2))
+        for variant, row in table["rows"].items():
+            k1, k2 = row["degrees"]
+            accs = [r.test_acc for seed, _, a, b, _, r in sorted(
+                runs, key=lambda run: run[0]) if (a, b) == (k1, k2)]
+            assert len(accs) == 2
+            assert row["mean_test_acc"] == mean_ci95(accs)[0]
+
+    def test_each_seed_draws_its_csbm_once(self, monkeypatch):
+        calls = []
+        real = experiments.csbm_generate
+
+        def counted(params):
+            calls.append(params.seed)
+            return real(params)
+
+        monkeypatch.setattr(experiments, "csbm_generate", counted)
+        cmd_sweep_degrees(tiny_config(), [1, 2], [1, 2])
+        assert sorted(calls) == [0, 1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_file_dataset_loaded_once_per_command(self, tmp_path,
+                                                  monkeypatch, threads):
+        spec = write_files_spec(tmp_path,
+                                csbm_generate(CsbmParams(n=40, d=3, seed=0)))
+        calls = []
+        real = experiments.load_dataset
+
+        def counted(*paths):
+            calls.append(paths)
+            return real(*paths)
+
+        monkeypatch.setattr(experiments, "load_dataset", counted)
+        cmd_train(tiny_config(dataset=spec, threads=threads))
+        assert len(calls) == 1
+
+    def test_same_size_rewrite_seen_by_next_command(self, tmp_path,
+                                                    monkeypatch):
+        ds = csbm_generate(CsbmParams(n=40, d=3, seed=0))
+        spec = write_files_spec(tmp_path, ds)
+        config = tiny_config(dataset=spec)
+        runs = spy_train_single(monkeypatch)
+        cmd_train(config)
+        flipped = 1 - ds.labels
+        size = os.path.getsize(spec["labels"])
+        with open(spec["labels"], "w", encoding="utf-8") as f:
+            f.write("".join(f"{y}\n" for y in flipped))
+        # No mtime change: nothing but the contents tells the runs apart.
+        assert os.path.getsize(spec["labels"]) == size
+        cmd_train(config)
+        labels = [run[4] for run in runs]
+        assert len(labels) == 4
+        assert all(np.array_equal(y, ds.labels) for y in labels[:2])
+        assert all(np.array_equal(y, flipped) for y in labels[2:])
 
 
 class TestCmdTrain:
