@@ -50,6 +50,7 @@ class Dataset:
 
     def stats(self) -> dict:
         out = {"nodes": self.n, "edges": self.graph.num_edges,
+               "self_loops": self.graph.num_self_loops,
                "features": self.d, "classes": self.num_classes,
                "components": num_components(self.graph)}
         try:

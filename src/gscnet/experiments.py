@@ -112,15 +112,23 @@ class ExperimentConfig:
 def _dataset_source(spec: dict):
     """seed -> Dataset for the configured dataset. A CSBM is drawn per seed;
     a file dataset is loaded here, once, and every seed shares it (it is
-    immutable)."""
+    immutable). The spec is checked here too, before any seed's job runs."""
     kind = spec.get("kind", "csbm")
     if kind == "csbm":
         opts = {k: v for k, v in spec.items() if k not in ("kind", "regime")}
-        if "regime" in spec:
-            return lambda seed: csbm_generate(
-                csbm_params_for(spec["regime"], seed=seed, **opts))
-        return lambda seed: csbm_generate(CsbmParams(seed=seed, **opts))
+        make = (functools.partial(csbm_params_for, spec["regime"])
+                if "regime" in spec else CsbmParams)
+        try:
+            # The seed does not decide whether the keys and values are valid.
+            make(seed=0, **opts)
+        except (TypeError, InputError) as exc:
+            raise ConfigError(f"bad csbm dataset spec: {exc}") from exc
+        return lambda seed: csbm_generate(make(seed=seed, **opts))
     if kind == "files":
+        keys = set(spec) - {"kind"}
+        if keys != {"edges", "features", "labels"}:
+            raise ConfigError("a files dataset spec needs exactly the keys "
+                              f"edges, features and labels, got {sorted(keys)}")
         ds = load_dataset(spec["edges"], spec["features"], spec["labels"])
         return lambda seed: ds
     raise ConfigError(f"unknown dataset kind {kind!r}")
@@ -131,15 +139,14 @@ def make_dataset(spec: dict, seed: int) -> Dataset:
     return _dataset_source(spec)(seed)
 
 
-def _run_one_seed(config: ExperimentConfig, source, seed: int, cells: list,
-                  record_epochs: bool) -> list:
+def _run_one_seed(config: ExperimentConfig, source, seed: int,
+                  cells: list) -> list:
     """Train each (arch, k1, k2) cell on the seed's dataset and split, built
     once for all of them; returns their RunRecords in cell order."""
     ds = source(seed)
     split = random_split(ds.n, seed=seed)
     cfg = replace(config.train, seed=seed)
-    return [train_single(ds, split, arch, k1, k2, cfg,
-                         record_epochs=record_epochs)
+    return [train_single(ds, split, arch, k1, k2, cfg)
             for arch, k1, k2 in cells]
 
 
@@ -233,14 +240,13 @@ def _fan_out(config: ExperimentConfig, jobs: list) -> list:
     return sorted(results, key=lambda kv: kv[0])
 
 
-def _run_cells(config: ExperimentConfig, cells, record_epochs: bool = False
-               ) -> list:
+def _run_cells(config: ExperimentConfig, cells) -> list:
     """Train every (arch, k1, k2) cell on every seed, one job per seed;
     returns, per cell, its RunRecords in seed order."""
     cells = list(cells)
     source = _dataset_source(config.dataset)
     jobs = [(seed, functools.partial(_run_one_seed, config, source, seed,
-                                     cells, record_epochs))
+                                     cells))
             for seed in config.seeds]
     per_seed = [records for _, records in _fan_out(config, jobs)]
     return [list(records) for records in zip(*per_seed)]
@@ -254,10 +260,9 @@ def summarize_records(records: list) -> dict:
             "diverged_seeds": [r.seed for r in records if r.diverged]}
 
 
-def cmd_train(config: ExperimentConfig, record_epochs: bool = True) -> dict:
+def cmd_train(config: ExperimentConfig) -> dict:
     """Train config.arch over the seed list; summary uses best-val selection."""
-    records, = _run_cells(config, [(config.arch, config.k1, config.k2)],
-                          record_epochs)
+    records, = _run_cells(config, [(config.arch, config.k1, config.k2)])
     summary = {"schema": SCHEMA_VERSION, "command": "train",
                "arch": config.arch, "k1": config.k1, "k2": config.k2,
                "dataset": config.dataset, **summarize_records(records)}
@@ -351,8 +356,7 @@ def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
             f"no measurement window: epochs={config.train.epochs} "
             f"with warmup={warmup}")
     (record,), = _run_cells(bench_config(config),
-                            [(config.arch, config.k1, config.k2)],
-                            record_epochs=True)
+                            [(config.arch, config.k1, config.k2)])
     series = [e.ms for e in record.epochs]
     measured = series[warmup:]
     return {"schema": SCHEMA_VERSION, "command": "bench",

@@ -1,9 +1,9 @@
-"""Sparse graph substrate: CSR adjacency and cached CSR spectral operators.
+"""Sparse graph substrate: one CSR adjacency and the operators built from it.
 
-The CSR adjacency (``row_ptr``, ``col_idx``) is the single source of truth.
-Each operator is built from it once per graph, on first use, as a
-``scipy.sparse`` CSR array, and every apply is one sparse-times-dense
-product with it:
+A graph is its unit-weight ``scipy.sparse`` CSR adjacency A, the one
+structure ``SparseGraph`` stores. Each operator is built from it once per
+graph, on first use, as a CSR array, and every apply is one
+sparse-times-dense product with it:
 
     adjacency            A
     normalized_adjacency Â = D^{-1/2} A D^{-1/2}
@@ -32,31 +32,42 @@ from .errors import DataError, InputError
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """Undirected, unweighted graph in CSR form.
+    """Undirected, unweighted graph as its CSR adjacency A.
 
-    ``col_idx`` is sorted within each row and duplicate-free; edge (u, v) is
-    stored in both rows (a self-loop is stored once). ``degrees[i]`` equals
-    the number of stored neighbors of node i, as a float so degree-modifying
+    A has unit weights, int64 indices, column indices sorted within each
+    row and no duplicates; edge (u, v) is stored in both rows (a self-loop
+    is stored once). Its arrays are read-only. ``degrees[i]`` equals the
+    number of stored neighbors of node i, as a float so degree-modifying
     variants stay representable.
     """
 
-    n: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    degrees: np.ndarray
+    adjacency: scipy.sparse.csr_array
 
     def __post_init__(self):
-        for a in (self.row_ptr, self.col_idx, self.degrees):
+        # scipy picks int32 indices for an empty graph; keep int64 always.
+        A = self.adjacency
+        A.indices = A.indices.astype(np.int64, copy=False)
+        A.indptr = A.indptr.astype(np.int64, copy=False)
+        for a in (A.data, A.indices, A.indptr):
             a.flags.writeable = False
 
     @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
     def nnz(self) -> int:
-        return int(self.col_idx.shape[0])
+        return self.adjacency.nnz
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        degrees = np.diff(self.adjacency.indptr).astype(np.float64)
+        degrees.flags.writeable = False
+        return degrees
 
     @cached_property
     def num_self_loops(self) -> int:
-        rows = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
-        return int(np.count_nonzero(rows == self.col_idx))
+        return int(np.count_nonzero(self.adjacency.diagonal()))
 
     @cached_property
     def num_edges(self) -> int:
@@ -64,18 +75,12 @@ class SparseGraph:
         return (self.nnz + self.num_self_loops) // 2
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]
+        A = self.adjacency
+        return A.indices[A.indptr[i]:A.indptr[i + 1]]
 
     # Operators are built on first use. Two threads that both find one
     # unbuilt may each build it; the builds are identical, so either result
     # serves both.
-    @cached_property
-    def adjacency(self) -> scipy.sparse.csr_array:
-        """A as a CSR array with unit weights."""
-        return scipy.sparse.csr_array(
-            (np.ones(self.nnz), self.col_idx, self.row_ptr),
-            shape=(self.n, self.n))
-
     @cached_property
     def normalized_adjacency(self) -> scipy.sparse.csr_array:
         """Â = D^{-1/2} A D^{-1/2}; empty row and column at isolated nodes."""
@@ -102,38 +107,27 @@ def _symmetric_scaled(B: scipy.sparse.csr_array,
 
 
 def build_csr(edges, n: int) -> SparseGraph:
-    """Build a symmetric, deduplicated, row-sorted CSR adjacency.
+    """Build the symmetric, deduplicated, row-sorted CSR adjacency.
 
-    ``edges`` is an iterable of (u, v) pairs; each pair is mirrored, and
-    duplicates (including pre-mirrored inputs) collapse to one stored entry
-    per direction. Self-loops in the input are preserved exactly once.
+    ``edges`` is an (m, 2) array-like of (u, v) pairs; each pair is
+    mirrored, and duplicates (including pre-mirrored inputs) collapse to
+    one stored entry per direction. Self-loops in the input are preserved
+    exactly once.
     """
     if n < 0:
         raise InputError(f"node count must be non-negative, got {n}")
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         bad = pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)][0]
         raise InputError(f"edge ({bad[0]}, {bad[1]}) out of range for n={n}")
 
-    u, v = pairs[:, 0], pairs[:, 1]
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    keys = src * n + dst if n > 0 else src
-    keys = np.unique(keys)
-    if n > 0:
-        src, dst = keys // n, keys % n
-    else:
-        src = dst = keys
-
-    counts = np.bincount(src, minlength=n)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return SparseGraph(
-        n=n,
-        row_ptr=row_ptr,
-        col_idx=dst.astype(np.int64),
-        degrees=counts.astype(np.float64),
-    )
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    # COO -> CSR sorts each row and sums duplicates; reset the sums to 1.
+    A = scipy.sparse.coo_array((np.ones(src.size), (src, dst)),
+                               shape=(n, n)).tocsr()
+    A.data[:] = 1.0
+    return SparseGraph(A)
 
 
 def _operand(g: SparseGraph, X) -> np.ndarray:
@@ -177,40 +171,19 @@ def permute_graph(g: SparseGraph, X, perm) -> tuple[SparseGraph, np.ndarray]:
     if p.shape != (g.n,) or not np.array_equal(np.sort(p), np.arange(g.n)):
         raise InputError("perm is not a bijection on [0, n)")
     X = _operand(g, X)
-
-    inv = np.empty(g.n, dtype=np.int64)
-    inv[p] = np.arange(g.n)
-
-    counts = (g.row_ptr[p + 1] - g.row_ptr[p]).astype(np.int64)
-    row_ptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    col_idx = np.empty(g.nnz, dtype=np.int64)
-    for i in range(g.n):
-        nbrs = inv[g.neighbors(p[i])]
-        col_idx[row_ptr[i]:row_ptr[i + 1]] = np.sort(nbrs)
-
-    gp = SparseGraph(n=g.n, row_ptr=row_ptr, col_idx=col_idx,
-                     degrees=g.degrees[p].copy())
-    return gp, X[p]
+    A = g.adjacency[p][:, p]
+    A.sort_indices()
+    return SparseGraph(A), X[p]
 
 
 def connected_components(g: SparseGraph) -> np.ndarray:
     """Component label per node (labels are 0..k-1 in discovery order)."""
-    labels = np.full(g.n, -1, dtype=np.int64)
-    comp = 0
-    for start in range(g.n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = comp
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if labels[w] < 0:
-                    labels[w] = comp
-                    stack.append(int(w))
-        comp += 1
-    return labels
+    # Imported here, not at the top: csgraph loads scipy.linalg (about
+    # 11 MB resident), which training never uses.
+    import scipy.sparse.csgraph
+    _, labels = scipy.sparse.csgraph.connected_components(g.adjacency,
+                                                          directed=False)
+    return labels.astype(np.int64)
 
 
 def num_components(g: SparseGraph) -> int:
@@ -248,9 +221,7 @@ def read_edge_list(path, n: int | None = None) -> list[tuple[int, int]]:
 
 
 def write_edge_list(path, g: SparseGraph):
-    """Write each undirected edge once (u <= v)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for u in range(g.n):
-            for v in g.neighbors(u):
-                if v >= u:
-                    f.write(f"{u} {v}\n")
+    """Write each undirected edge once (u <= v), in row-major order."""
+    upper = scipy.sparse.triu(g.adjacency, format="coo")
+    np.savetxt(path, np.column_stack([upper.row, upper.col]), fmt="%d",
+               encoding="utf-8")

@@ -11,10 +11,10 @@ shifted operator 2I - L acts low-pass and L acts high-pass.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (ContractViolationError, DegenerateInputError, InputError,
                      SizeGuardError)
@@ -71,20 +71,10 @@ def k_hop_neighborhoods(g: SparseGraph, t: int, k: int) -> list[np.ndarray]:
         raise InputError(f"target node {t} out of range for n={g.n}")
     if k < 0:
         raise InputError(f"hop count must be non-negative, got {k}")
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[t] = 0
-    frontier = deque([t])
-    hops = [[] for _ in range(k)]
-    while frontier:
-        u = frontier.popleft()
-        if dist[u] >= k:
-            continue
-        for w in g.neighbors(u):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                hops[dist[w] - 1].append(int(w))
-                frontier.append(int(w))
-    return [np.asarray(sorted(h), dtype=np.int64) for h in hops]
+    import scipy.sparse.csgraph  # loads scipy.linalg; see connected_components
+    dist = scipy.sparse.csgraph.shortest_path(g.adjacency, unweighted=True,
+                                              indices=t)
+    return [np.flatnonzero(dist == hop) for hop in range(1, k + 1)]
 
 
 @dataclass(frozen=True)
@@ -174,9 +164,7 @@ def classify_graph_activation(T, g: SparseGraph) -> ActivationClass:
     if T.shape != (g.n, g.n):
         raise InputError(f"expected shape {(g.n, g.n)}, got {T.shape}")
 
-    on_edge = np.zeros((g.n, g.n), dtype=bool)
-    for i in range(g.n):
-        on_edge[i, g.neighbors(i)] = True
+    on_edge = g.adjacency.toarray() != 0
     np.fill_diagonal(on_edge, True)
 
     bad_edge = on_edge & ~(T > 0.0)
@@ -227,14 +215,12 @@ def label_smoothness(g: SparseGraph, labels) -> float:
     labels = np.asarray(labels)
     if labels.shape != (g.n,):
         raise InputError(f"expected {g.n} labels, got shape {labels.shape}")
-    rows = np.repeat(np.arange(g.n), np.diff(g.row_ptr))
-    upper = g.col_idx > rows
-    m = int(np.count_nonzero(upper))
-    if m == 0:
+    upper = scipy.sparse.triu(g.adjacency, k=1, format="coo")
+    if upper.nnz == 0:
         raise DegenerateInputError("label smoothness undefined: the graph "
                                    "has no non-loop edges")
-    cross = labels[rows[upper]] != labels[g.col_idx[upper]]
-    return float(np.count_nonzero(cross)) / m
+    cross = labels[upper.row] != labels[upper.col]
+    return float(np.count_nonzero(cross)) / upper.nnz
 
 
 def rayleigh_quotient(g: SparseGraph, x) -> float:

@@ -66,7 +66,7 @@ def evaluate(params: ModelParams, ds: Dataset, split: Split) -> tuple[float, flo
 
 
 def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
-                 cfg: TrainConfig, record_epochs: bool = True) -> RunRecord:
+                 cfg: TrainConfig) -> RunRecord:
     """Train one model to completion and return its record.
 
     Fully deterministic given (dataset, split, cfg.seed): initialization
@@ -100,8 +100,7 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
         adam_step(params, grads, state, cfg)
         val_acc, test_acc = evaluate(params, ds, split)
         ms = (time.perf_counter() - t0) * 1e3
-        if record_epochs:
-            record.epochs.append(EpochStats(epoch, loss, val_acc, test_acc, ms))
+        record.epochs.append(EpochStats(epoch, loss, val_acc, test_acc, ms))
         if val_acc > best_val:
             best_val, best_test, best_epoch = val_acc, test_acc, epoch
             best_filter = (params.filter.alpha.copy(),

@@ -318,8 +318,8 @@ class TestCriterion10Cora:
         for seed in range(20):
             split = random_split(ds.n, seed=seed)
             cfg = TrainConfig(**{**train.__dict__, "seed": seed})
-            accs.append(train_single(ds, split, "GSCNet", 2, 2, cfg,
-                                     record_epochs=False).test_acc)
+            accs.append(train_single(ds, split, "GSCNet", 2, 2,
+                                     cfg).test_acc)
         mean = float(np.mean(accs))
         elapsed = time.perf_counter() - t0
         ok = mean >= 0.85 and elapsed < 600.0

@@ -43,8 +43,8 @@ class TestTrainCommand:
         assert set(env) == {"numpy", "blas", "blas_threads_per_worker",
                             "nproc"}
         assert env["numpy"] == np.__version__ and env["nproc"] >= 1
-        records = experiments.cmd_train(ExperimentConfig.from_json(TINY),
-                                        record_epochs=False)["records"]
+        records = experiments.cmd_train(
+            ExperimentConfig.from_json(TINY))["records"]
         assert [r["seed"] for r in summary["runs"]] == [0, 1]
         for run, record in zip(summary["runs"], records):
             assert run["alpha"] == record.alpha
@@ -87,6 +87,18 @@ class TestTrainCommand:
                      "--out-dir", str(out), *flags]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "files", "edges": "x"},
+        {**TINY["dataset"], "bogus": 1},
+    ], ids=["files-missing-keys", "csbm-unknown-key"])
+    def test_bad_dataset_spec_exits_2(self, tmp_path, capsys, dataset):
+        rc = main(["train", "--config",
+                   write_config(tmp_path, {**TINY, "dataset": dataset}),
+                   "--out-dir", str(tmp_path / "runs"), "--threads", "2"])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_train_seed_exits_2(self, tmp_path):
         cfg = {**TINY, "train": {**TINY["train"], "seed": 7}}

@@ -114,8 +114,9 @@ class TestLoaders:
         again = load_dataset(*paths)
         assert np.array_equal(again.features, ds.features)
         assert np.array_equal(again.labels, ds.labels)
-        assert np.array_equal(again.graph.col_idx, ds.graph.col_idx)
-        assert np.array_equal(again.graph.row_ptr, ds.graph.row_ptr)
+        A, B = again.graph.adjacency, ds.graph.adjacency
+        assert np.array_equal(A.indices, B.indices)
+        assert np.array_equal(A.indptr, B.indptr)
 
     def test_two_node_toy(self, tmp_path):
         (tmp_path / "e.txt").write_text("0 1\n")
@@ -181,3 +182,12 @@ class TestDatasetInvariants:
         assert stats["nodes"] == 50
         assert 0.0 <= stats["label_smoothness"] <= 1.0
         assert stats["components"] >= 1
+
+    def test_stats_reports_self_loops(self, tmp_path):
+        (tmp_path / "e.txt").write_text("0 1\n2 2\n1 2\n")
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n3.0\n")
+        (tmp_path / "y.txt").write_text("0\n1\n0\n")
+        ds = load_dataset(tmp_path / "e.txt", tmp_path / "x.csv",
+                          tmp_path / "y.txt")
+        assert ds.stats()["self_loops"] == 1
+        assert csbm_generate(CsbmParams(n=50, d=3)).stats()["self_loops"] == 0

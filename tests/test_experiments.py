@@ -101,9 +101,8 @@ def spy_train_single(monkeypatch):
     real = experiments.train_single
     runs = []
 
-    def spy(ds, split, arch, k1, k2, cfg, record_epochs=True):
-        record = real(ds, split, arch, k1, k2, cfg,
-                      record_epochs=record_epochs)
+    def spy(ds, split, arch, k1, k2, cfg):
+        record = real(ds, split, arch, k1, k2, cfg)
         runs.append((cfg.seed, arch, k1, k2, ds.labels.copy(), record))
         return record
 
@@ -138,8 +137,7 @@ class TestOneJobPerSeed:
             ds = make_dataset(config.dataset, seed)
             cfg = replace(config.train, seed=seed)
             alone = train.train_single(ds, random_split(ds.n, seed=seed),
-                                       arch, k1, k2, cfg,
-                                       record_epochs=False)
+                                       arch, k1, k2, cfg)
             assert record_bytes(record) == record_bytes(alone)
 
     def test_aggregates_are_the_records(self, monkeypatch):

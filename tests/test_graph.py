@@ -28,8 +28,8 @@ class TestBuildCsr:
     def test_dedup_mirrored_input(self):
         g1 = build_csr([(0, 1)], 2)
         g2 = build_csr([(0, 1), (1, 0)], 2)
-        assert np.array_equal(g1.col_idx, g2.col_idx)
-        assert np.array_equal(g1.row_ptr, g2.row_ptr)
+        assert np.array_equal(g1.adjacency.indices, g2.adjacency.indices)
+        assert np.array_equal(g1.adjacency.indptr, g2.adjacency.indptr)
 
     def test_path(self):
         g = build_csr(P3_EDGES, 3)
@@ -54,6 +54,25 @@ class TestBuildCsr:
             build_csr([(0, 5)], 3)
         with pytest.raises(InputError):
             build_csr([(-1, 0)], 3)
+
+    def test_tuples_and_int_array_agree(self, rng):
+        edges = er_edges(rng, 25, 0.3) + [(4, 4), (7, 2), (2, 7), (4, 4)]
+        a = build_csr(edges, 25).adjacency
+        assert (a.data == 1.0).all()
+        for array in (np.array(edges), np.array(edges, dtype=np.int32)):
+            b = build_csr(array, 25).adjacency
+            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                         (a.data, b.data)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        for A in (a, build_csr([], 3).adjacency):
+            assert A.indptr.dtype == A.indices.dtype == np.int64
+
+    def test_stored_arrays_reject_writes(self):
+        g = build_csr([(0, 1), (1, 1)], 3)
+        A = g.adjacency
+        for arr in (A.data, A.indices, A.indptr, g.degrees):
+            with pytest.raises(ValueError):
+                arr[0] = 5
 
 
 class TestLaplacianApply:
@@ -231,14 +250,14 @@ class TestPermuteGraph:
         g = build_csr(P3_EDGES, 3)
         X = rng.normal(size=(3, 2))
         gp, Xp = permute_graph(g, X, [0, 1, 2])
-        assert np.array_equal(gp.col_idx, g.col_idx)
+        assert np.array_equal(gp.adjacency.indices, g.adjacency.indices)
         assert np.array_equal(Xp, X)
 
     def test_k2_swap_preserves_adjacency(self):
         g = build_csr(K2_EDGES, 2)
         gp, _ = permute_graph(g, np.zeros((2, 1)), [1, 0])
-        assert np.array_equal(gp.col_idx, g.col_idx)
-        assert np.array_equal(gp.row_ptr, g.row_ptr)
+        assert np.array_equal(gp.adjacency.indices, g.adjacency.indices)
+        assert np.array_equal(gp.adjacency.indptr, g.adjacency.indptr)
 
     def test_roundtrip_bit_exact(self, rng):
         n = 20
@@ -248,8 +267,8 @@ class TestPermuteGraph:
         inv = np.argsort(p)
         gp, Xp = permute_graph(g, X, p)
         gb, Xb = permute_graph(gp, Xp, inv)
-        assert np.array_equal(gb.col_idx, g.col_idx)
-        assert np.array_equal(gb.row_ptr, g.row_ptr)
+        assert np.array_equal(gb.adjacency.indices, g.adjacency.indices)
+        assert np.array_equal(gb.adjacency.indptr, g.adjacency.indptr)
         assert np.array_equal(Xb, X)
 
     def test_operator_equivariance(self, rng):
@@ -267,6 +286,20 @@ class TestPermuteGraph:
         g = build_csr(K2_EDGES, 2)
         with pytest.raises(InputError):
             permute_graph(g, np.zeros((2, 1)), [0, 0])
+
+    def test_matches_dense_permutation_with_loops(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(1, 30))
+            loops = [(i, i) for i in range(n) if rng.random() < 0.2]
+            g = build_csr(er_edges(rng, n, 0.3) + loops, n)
+            p = rng.permutation(n)
+            P = np.eye(n)[p]
+            gp, _ = permute_graph(g, np.zeros((n, 1)), p)
+            assert np.array_equal(dense_adjacency(gp),
+                                  P @ dense_adjacency(g) @ P.T)
+            for i in range(n):
+                nbrs = gp.neighbors(i)
+                assert np.array_equal(nbrs, np.unique(nbrs))
 
 
 class TestSpectrum:
@@ -296,6 +329,10 @@ class TestComponents:
         assert labels[0] == labels[1] and labels[2] == labels[3]
         assert labels[0] != labels[2]
 
+    def test_labels_in_discovery_order(self):
+        labels = connected_components(build_csr([(3, 4), (1, 2)], 5))
+        assert labels.tolist() == [0, 1, 1, 2, 2]
+
 
 class TestEdgeListIO:
     def test_parse_with_comments(self, tmp_path):
@@ -311,8 +348,16 @@ class TestEdgeListIO:
         path = tmp_path / "edges.txt"
         write_edge_list(path, g)
         g2 = build_csr(read_edge_list(path, n=n), n)
-        assert np.array_equal(g.col_idx, g2.col_idx)
-        assert np.array_equal(g.row_ptr, g2.row_ptr)
+        assert np.array_equal(g.adjacency.indices, g2.adjacency.indices)
+        assert np.array_equal(g.adjacency.indptr, g2.adjacency.indptr)
+
+    def test_write_exact_bytes(self, tmp_path):
+        g = build_csr([(2, 1), (0, 2), (1, 1), (2, 0)], 4)
+        path = tmp_path / "edges.txt"
+        write_edge_list(path, g)
+        assert path.read_bytes() == b"0 2\n1 1\n1 2\n"
+        write_edge_list(path, build_csr([], 3))
+        assert path.read_bytes() == b""
 
     def test_bad_line_reports_lineno(self, tmp_path):
         path = tmp_path / "edges.txt"
