@@ -143,21 +143,40 @@ def csbm_params_for(regime: str, n: int = 1000, d: int = 16, mu: float = 1.0,
                       sigma=sigma, d=d, seed=seed)
 
 
+# Pairs whose Bernoulli uniforms are drawn per rng.random call. PCG64 yields
+# the same doubles in chunks as in one call, so this bounds memory only.
+PAIR_CHUNK = 1 << 20
+
+
+def _triu_pairs(t: np.ndarray, m: int):
+    """(i, j) of the flat positions t in np.triu_indices(m, k=1) order."""
+    i = np.arange(m - 1)
+    starts = i * (m - 1) - i * (i - 1) // 2
+    row = np.searchsorted(starts, t, side="right") - 1
+    return row, t - starts[row] + row + 1
+
+
 def _block_edges(rng, rows, cols, p: float, upper_only: bool):
-    """Bernoulli(p) edges between two node id ranges."""
+    """Bernoulli(p) edges between two node id ranges.
+
+    Pairs are taken in row-major order (the upper triangle when
+    upper_only) and kept when their uniform draw is below p."""
     if p <= 0.0:
         return np.zeros((0, 2), dtype=np.int64)
+    m, m2 = len(rows), len(cols)
+    total = m * (m - 1) // 2 if upper_only else m * m2
+    if p >= 1.0:
+        kept = np.arange(total)
+    else:
+        kept = np.concatenate([
+            np.flatnonzero(rng.random(min(PAIR_CHUNK, total - lo)) < p) + lo
+            for lo in range(0, total, PAIR_CHUNK)])
     if upper_only:
-        iu, ju = np.triu_indices(len(rows), k=1)
+        iu, ju = _triu_pairs(kept, m)
         u, v = rows[iu], rows[ju]
     else:
-        u = np.repeat(rows, len(cols))
-        v = np.tile(cols, len(rows))
-    if p >= 1.0:
-        keep = np.ones(u.shape[0], dtype=bool)
-    else:
-        keep = rng.random(u.shape[0]) < p
-    return np.stack([u[keep], v[keep]], axis=1)
+        u, v = rows[kept // m2], cols[kept % m2]
+    return np.stack([u, v], axis=1)
 
 
 def csbm_generate(params: CsbmParams) -> Dataset:
@@ -166,6 +185,10 @@ def csbm_generate(params: CsbmParams) -> Dataset:
     Nodes [0, n/2) are class 0, the rest class 1; every intra-class pair is
     an edge with p_intra, every inter-class pair with p_inter, independently.
     Features are mu*(+/-u) + sigma*N(0, I) with u a per-seed unit vector.
+
+    The pair uniforms are streamed in chunks of PAIR_CHUNK, so memory is
+    O(chunk + |E|); time is still O(n^2) uniform draws, which keeps every
+    seed's graph the same as a single full-size draw would give.
     """
     rng = np.random.default_rng(params.seed)
     half = params.n // 2

@@ -290,7 +290,8 @@ class TestCriterion9Timing:
         ok_scaling = ratio <= 2.3
         report(9, ok_order and ok_scaling,
                f"per-epoch ms {dict((k, round(v, 1)) for k, v in times.items())}, "
-               f"cache ratio {ratio:.2f}")
+               f"cache build ms (2,2) {1e3 * t_small:.1f}, "
+               f"(4,4) {1e3 * t_big:.1f}, ratio {ratio:.2f}")
         assert ok_order, times
         assert ok_scaling, ratio
 

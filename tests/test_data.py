@@ -1,11 +1,18 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gscnet.data import (CsbmParams, Dataset, Split, csbm_generate,
-                         csbm_params_for, load_dataset, random_split,
-                         save_dataset)
+import gscnet
+from gscnet import data
+from gscnet.data import (CsbmParams, Dataset, Split, _triu_pairs,
+                         csbm_generate, csbm_params_for, load_dataset,
+                         random_split, save_dataset)
 from gscnet.errors import DataError, DegenerateInputError, InputError
 from gscnet.graph import build_csr
 from gscnet.pnca import label_smoothness
@@ -78,6 +85,78 @@ class TestCsbmGenerate:
     def test_odd_n_rejected(self):
         with pytest.raises(InputError):
             CsbmParams(n=9)
+
+
+def draw_digest(ds) -> str:
+    h = hashlib.sha256()
+    for arr in (ds.graph.adjacency.indptr, ds.graph.adjacency.indices,
+                ds.features):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# sha256 over indptr, indices and features bytes, recorded before the pair
+# draws were streamed in chunks: the preset graphs must not change.
+PRESET_DIGESTS = {
+    ("homophily", 1000, 0): "ad20f6ac4275f43fa748e4fb2e5e5165"
+                            "c92dde036cbe129fc52aa55411c1d8eb",
+    ("homophily", 1000, 1): "72e50f3523ef99773ad1b4559bbb8f23"
+                            "22eb82804ac163ba4b56483370ec1494",
+    ("homophily", 5000, 0): "86dd129852a57a120faba13c210ebf0c"
+                            "d98ea446acfe7b82aa4e90e115db7564",
+    ("homophily", 5000, 1): "3197164b0e321b5805fe5c69084b7d98"
+                            "b23f78fb544e34810fcb68eeea756d4e",
+    ("heterophily", 1000, 0): "c6544f6e05cb8728fc7035439be5048f"
+                              "1d15ed2c16af493f64984830df73fa26",
+    ("heterophily", 1000, 1): "dacf6d63a2bfa128ec6aeb1bf76997b1"
+                              "d95347568a9675e702ae26e094e43dba",
+    ("heterophily", 5000, 0): "76547b6dbee69d4addf03990c016a6cf"
+                              "d8b826f999c65b9011a64431b71d05c6",
+    ("heterophily", 5000, 1): "d3aeed568c432f17ad30e2ee694aa038"
+                              "8d36038fa7bca84d584ac0ed582291b9",
+}
+# The gsc-wide-files shape: a Cora-sized homophily CSBM.
+WIDE_DIGEST = ("e8260475b5be95a5001d49553b0d599a"
+               "c0fc4a32de7a816adc2adc4af5b9bc2b")
+
+
+class TestCsbmPairStream:
+    @pytest.mark.parametrize("regime,n,seed", sorted(PRESET_DIGESTS))
+    def test_preset_draws_pinned(self, regime, n, seed):
+        ds = csbm_generate(csbm_params_for(regime, n=n, seed=seed))
+        assert draw_digest(ds) == PRESET_DIGESTS[regime, n, seed]
+
+    def test_wide_draw_pinned(self):
+        ds = csbm_generate(csbm_params_for("homophily", n=2708, d=1433,
+                                           expected_degree=3.9, seed=0))
+        assert draw_digest(ds) == WIDE_DIGEST
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10**6])
+    def test_chunk_size_does_not_matter(self, monkeypatch, chunk):
+        params = csbm_params_for("heterophily", n=200, expected_degree=20.0,
+                                 seed=3)
+        want = csbm_generate(params)
+        monkeypatch.setattr(data, "PAIR_CHUNK", chunk)
+        assert draw_digest(csbm_generate(params)) == draw_digest(want)
+
+    def test_triangle_mapping_matches_triu_indices(self):
+        for m in range(2, 41):
+            iu, ju = np.triu_indices(m, k=1)
+            i, j = _triu_pairs(np.arange(iu.size), m)
+            assert np.array_equal(i, iu) and np.array_equal(j, ju)
+
+    def test_memory_stays_below_pair_count(self):
+        """n=2*10^4 has 2*10^8 pairs: int64 index arrays for them alone
+        would take several GB, the chunked draw stays far below 256 MB."""
+        script = ("import resource\n"
+                  "from gscnet.data import csbm_generate, csbm_params_for\n"
+                  "csbm_generate(csbm_params_for('homophily', n=20000))\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gscnet.__file__)))
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert int(out.stdout) < 256 * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestRandomSplit:

@@ -7,7 +7,7 @@ from gscnet.data import csbm_generate, CsbmParams, random_split
 from gscnet.errors import InputError
 from gscnet import graph
 from gscnet.graph import build_csr, permute_graph
-from gscnet.model import (AdamState, TrainConfig, accuracy,
+from gscnet.model import (ARCHITECTURES, AdamState, TrainConfig, accuracy,
                           adam_step, forward, init_params, loss_and_grad,
                           predict, softmax_cross_entropy)
 from gscnet.suite import _gradcheck_instance, random_connected_graph
@@ -186,8 +186,16 @@ class TestLoss:
 class TestGradients:
     @pytest.mark.parametrize("arch", ["GSCNet", "GCN", "JKNet", "BernNet"])
     def test_matches_finite_differences(self, arch):
-        rng = np.random.default_rng(hash(arch) % 2**31)
+        rng = np.random.default_rng(ARCHITECTURES.index(arch))
         worst = max(_gradcheck_instance(rng, arch=arch) for _ in range(5))
+        assert worst <= 1e-4
+
+    def test_instance_near_relu_kink_redrawn(self):
+        """This stream's fourth draw has a pre-activation 8.6e-6 from 0,
+        closer than the finite-difference step; checked as drawn, w1's
+        gradient reads 6.3e-3 off."""
+        rng = np.random.default_rng(171816597)
+        worst = max(_gradcheck_instance(rng, arch="GSCNet") for _ in range(5))
         assert worst <= 1e-4
 
     def test_pure_negative_family(self, rng):
