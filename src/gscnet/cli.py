@@ -15,8 +15,7 @@ import os
 import sys
 
 from . import experiments, pnca, suite
-from .data import CsbmParams, csbm_generate, csbm_params_for, load_dataset, \
-    save_dataset
+from .data import csbm_generate, save_dataset
 from .errors import ConfigError, DataError, GscnetError, InputError
 from .experiments import ExperimentConfig, SCHEMA_VERSION
 
@@ -47,7 +46,7 @@ def _load_config(args) -> ExperimentConfig:
         obj = {**obj, "seeds": _parse_ints(args.seed_list, "--seed-list")}
     if args.out_dir:
         obj = {**obj, "out_dir": args.out_dir}
-    if args.threads is not None:
+    if getattr(args, "threads", None) is not None:
         obj = {**obj, "threads": args.threads}
     return ExperimentConfig.from_json(obj)
 
@@ -142,21 +141,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_csbm_gen(args) -> int:
-    if args.preset:
-        params = csbm_params_for(args.preset, n=args.n, d=args.d, mu=args.mu,
-                                 sigma=args.sigma,
-                                 expected_degree=args.expected_degree,
-                                 seed=args.seed)
-    else:
-        if args.p_intra is None or args.p_inter is None:
-            raise ConfigError("either --preset or both --p-intra/--p-inter "
-                              "are required")
-        params = CsbmParams(n=args.n, p_intra=args.p_intra,
-                            p_inter=args.p_inter, mu=args.mu,
-                            sigma=args.sigma, d=args.d, seed=args.seed)
+    config = _load_config(args)
+    params = experiments.csbm_params(config.dataset, config.seeds[0])
     ds = csbm_generate(params)
-    out = args.out_dir or "csbm"
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(config)
     save_dataset(ds, os.path.join(out, "edges.txt"),
                  os.path.join(out, "features.csv"),
                  os.path.join(out, "labels.txt"))
@@ -169,14 +157,11 @@ def _cmd_csbm_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.preset:
-        ds = csbm_generate(csbm_params_for(args.preset, seed=args.seed))
-    elif args.edges and args.features and args.labels:
-        ds = load_dataset(args.edges, args.features, args.labels)
-    else:
-        raise ConfigError("analyze needs --preset or all of "
-                          "--edges/--features/--labels")
-    report = {"schema": SCHEMA_VERSION, "command": "analyze", **ds.stats()}
+    config = _load_config(args)
+    seed = config.seeds[0]
+    ds = experiments.make_dataset(config.dataset, seed)
+    report = {"schema": SCHEMA_VERSION, "command": "analyze",
+              "dataset": config.dataset, "seed": seed, **ds.stats()}
     g = ds.graph
     deg = g.degrees
     report["degree"] = {"min": float(deg.min()) if g.n else 0.0,
@@ -191,11 +176,9 @@ def _cmd_analyze(args) -> int:
             "shifted": {"label": shifted.label, "witness": shifted.witness},
             "laplacian": {"label": lap.label, "witness": lap.witness},
         }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    print(text)
+    experiments.write_json(os.path.join(_out_dir(config), "analyze.json"),
+                           report)
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -215,11 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse spectral graph-filter experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, threads=True):
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed-list", help="comma-separated seeds")
         p.add_argument("--out-dir", help="output directory")
-        p.add_argument("--threads", type=int, help="worker threads")
+        if threads:
+            p.add_argument("--threads", type=int, help="worker threads")
 
     p = sub.add_parser("train", help="train one model over the seed list")
     add_common(p)
@@ -245,26 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=5)
     p.set_defaults(fn=_cmd_bench)
 
-    p = sub.add_parser("csbm-gen", help="generate a CSBM dataset to files")
-    p.add_argument("--preset", choices=["homophily", "heterophily"])
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--d", type=int, default=16)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--expected-degree", type=float, default=10.0)
-    p.add_argument("--p-intra", type=float)
-    p.add_argument("--p-inter", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir")
+    p = sub.add_parser("csbm-gen", help="write the config's CSBM dataset "
+                       "to files")
+    add_common(p, threads=False)
     p.set_defaults(fn=_cmd_csbm_gen)
 
-    p = sub.add_parser("analyze", help="graph/label diagnostics as JSON")
-    p.add_argument("--preset", choices=["homophily", "heterophily"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--edges")
-    p.add_argument("--features")
-    p.add_argument("--labels")
-    p.add_argument("--out")
+    p = sub.add_parser("analyze", help="graph/label diagnostics of the "
+                       "config's dataset as JSON")
+    add_common(p, threads=False)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("verify", help="run the dense-oracle suite")

@@ -109,21 +109,31 @@ class ExperimentConfig:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
+def csbm_params(spec: dict, seed: int) -> CsbmParams:
+    """The CsbmParams of a CSBM dataset spec for one seed: a `regime` selects
+    the preset `csbm_params_for`, and without one the other keys are
+    CsbmParams fields."""
+    kind = spec.get("kind", "csbm")
+    if kind != "csbm":
+        raise ConfigError(f"not a csbm dataset spec: kind {kind!r}")
+    opts = {k: v for k, v in spec.items() if k not in ("kind", "regime")}
+    try:
+        if "regime" in spec:
+            return csbm_params_for(spec["regime"], seed=seed, **opts)
+        return CsbmParams(seed=seed, **opts)
+    except (TypeError, InputError) as exc:
+        raise ConfigError(f"bad csbm dataset spec: {exc}") from exc
+
+
 def _dataset_source(spec: dict):
     """seed -> Dataset for the configured dataset. A CSBM is drawn per seed;
     a file dataset is loaded here, once, and every seed shares it (it is
     immutable). The spec is checked here too, before any seed's job runs."""
     kind = spec.get("kind", "csbm")
     if kind == "csbm":
-        opts = {k: v for k, v in spec.items() if k not in ("kind", "regime")}
-        make = (functools.partial(csbm_params_for, spec["regime"])
-                if "regime" in spec else CsbmParams)
-        try:
-            # The seed does not decide whether the keys and values are valid.
-            make(seed=0, **opts)
-        except (TypeError, InputError) as exc:
-            raise ConfigError(f"bad csbm dataset spec: {exc}") from exc
-        return lambda seed: csbm_generate(make(seed=seed, **opts))
+        # The seed does not decide whether the keys and values are valid.
+        csbm_params(spec, 0)
+        return lambda seed: csbm_generate(csbm_params(spec, seed))
     if kind == "files":
         keys = set(spec) - {"kind"}
         if keys != {"edges", "features", "labels"}:
@@ -367,14 +377,17 @@ def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
             "total_s": record.total_s, "series_ms": series}
 
 
-def measure_cache_build(ds: Dataset, k1: int, k2: int, repeats: int = 5) -> float:
-    """Median wall seconds to build the (k1, k2) basis cache."""
-    times = []
+def measure_cache_build(ds: Dataset, degree_pairs, repeats: int = 5) -> list:
+    """Median wall seconds to build the basis cache at each (k1, k2) pair.
+    The pairs take turns within each repeat, so a spell of host load falls
+    on all of them instead of on one pair's batch."""
+    times = [[] for _ in degree_pairs]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        build_basis_cache(ds.graph, ds.features, k1, k2)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+        for pair_times, (k1, k2) in zip(times, degree_pairs):
+            t0 = time.perf_counter()
+            build_basis_cache(ds.graph, ds.features, k1, k2)
+            pair_times.append(time.perf_counter() - t0)
+    return [float(np.median(t)) for t in times]
 
 
 def write_json(path, obj: dict):

@@ -284,8 +284,7 @@ class TestCriterion9Timing:
         ds = csbm_generate(csbm_params_for("homophily", n=5000,
                                            expected_degree=40.0, seed=0))
         assert ds.graph.nnz >= 10**5
-        t_small = measure_cache_build(ds, 2, 2)
-        t_big = measure_cache_build(ds, 4, 4)
+        t_small, t_big = measure_cache_build(ds, [(2, 2), (4, 4)])
         ratio = t_big / t_small
         ok_scaling = ratio <= 2.3
         report(9, ok_order and ok_scaling,

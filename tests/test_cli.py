@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from gscnet import experiments
-from gscnet.cli import main
-from gscnet.experiments import ExperimentConfig
+from gscnet.cli import build_parser, main
+from gscnet.data import csbm_params_for
+from gscnet.experiments import ExperimentConfig, make_dataset
+from test_acceptance import CONFIG_DIR, PROTOCOLS
 
 TINY = {"dataset": {"kind": "csbm", "n": 80, "d": 6, "p_intra": 0.3,
                     "p_inter": 0.05, "mu": 1.5, "sigma": 0.8},
@@ -176,55 +178,125 @@ class TestBenchCommand:
 class TestCsbmGenCommand:
     def test_writes_files_and_sidecar(self, tmp_path):
         out = tmp_path / "data"
-        rc = main(["csbm-gen", "--preset", "homophily", "--n", "200",
-                   "--seed", "3", "--out-dir", str(out)])
+        cfg = {"dataset": {"kind": "csbm", "regime": "homophily", "n": 200},
+               "seeds": [3, 4]}
+        rc = main(["csbm-gen", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(out)])
         assert rc == 0
         for name in ("edges.txt", "features.csv", "labels.txt", "csbm.json"):
             assert (out / name).exists()
         sidecar = json.loads((out / "csbm.json").read_text())
-        assert sidecar["params"]["n"] == 200
+        # The config's first seed, as bench uses.
+        assert sidecar["params"] == csbm_params_for("homophily", n=200,
+                                                    seed=3).to_json()
         assert "label_smoothness" in sidecar["realized"]
 
     def test_custom_probabilities(self, tmp_path):
         out = tmp_path / "data"
-        rc = main(["csbm-gen", "--n", "50", "--p-intra", "0.4", "--p-inter",
-                   "0.1", "--out-dir", str(out)])
+        cfg = {"dataset": {"kind": "csbm", "n": 50, "p_intra": 0.4,
+                           "p_inter": 0.1}}
+        rc = main(["csbm-gen", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(out)])
         assert rc == 0
+        params = json.loads((out / "csbm.json").read_text())["params"]
+        assert (params["n"], params["p_intra"], params["p_inter"]) == \
+            (50, 0.4, 0.1)
 
-    def test_missing_probabilities_exit_2(self, tmp_path):
-        assert main(["csbm-gen", "--n", "50",
-                     "--out-dir", str(tmp_path / "d")]) == 2
+    def test_files_spec_exits_2(self, tmp_path, capsys):
+        cfg = {"dataset": {"kind": "files", "edges": "e", "features": "f",
+                           "labels": "l"}}
+        out = tmp_path / "data"
+        assert main(["csbm-gen", "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_spec_gives_one_dataset(self, tmp_path):
+        """The files csbm-gen writes for a spec train exactly as the spec."""
+        data = tmp_path / "data"
+        assert main(["csbm-gen", "--config", write_config(tmp_path),
+                     "--out-dir", str(data)]) == 0
+        files = {"kind": "files", "edges": str(data / "edges.txt"),
+                 "features": str(data / "features.csv"),
+                 "labels": str(data / "labels.txt")}
+        runs = []
+        for name, dataset in (("csbm", TINY["dataset"]), ("files", files)):
+            # csbm-gen draws the first seed's graph; train on that seed.
+            cfg = {**TINY, "dataset": dataset, "seeds": TINY["seeds"][:1]}
+            out = tmp_path / name
+            assert main(["train", "--config",
+                         write_config(tmp_path, cfg), "--out-dir",
+                         str(out)]) == 0
+            runs.append(json.loads((out / "summary.json").read_text())["runs"])
+        assert runs[0] == runs[1]
 
 
 class TestAnalyzeCommand:
     def test_preset_report(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        rc = main(["analyze", "--preset", "homophily", "--seed", "0",
-                   "--out", str(out)])
+        # No config: the homophily preset at n=1000, seed 0.
+        out = tmp_path / "runs"
+        rc = main(["analyze", "--out-dir", str(out)])
         assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["nodes"] == 1000
+        report = json.loads((out / "analyze.json").read_text())
+        assert json.loads(capsys.readouterr().out) == report
+        assert report["nodes"] == 1000 and report["seed"] == 0
         assert 0.0 <= report["label_smoothness"] <= 1.0
+        assert report["activation"]["shifted"]["label"] == "Positive"
+        assert report["activation"]["laplacian"]["label"] == "Negative"
+
+    def test_committed_config_dataset(self, tmp_path):
+        out = tmp_path / "runs"
+        rc = main(["analyze", "--config", str(CONFIG_DIR /
+                                              "sweep-heterophily.json"),
+                   "--out-dir", str(out)])
+        assert rc == 0
+        report = json.loads((out / "analyze.json").read_text())
+        stats = make_dataset(PROTOCOLS["sweep-heterophily"].dataset,
+                             0).stats()
+        for key in ("nodes", "edges", "label_smoothness"):
+            assert report[key] == stats[key]
         assert report["activation"]["shifted"]["label"] == "Positive"
         assert report["activation"]["laplacian"]["label"] == "Negative"
 
     def test_file_input(self, tmp_path):
         gen_dir = tmp_path / "data"
-        main(["csbm-gen", "--preset", "homophily", "--n", "100",
+        cfg = {"dataset": {"kind": "csbm", "regime": "homophily", "n": 100}}
+        main(["csbm-gen", "--config", write_config(tmp_path, cfg),
               "--out-dir", str(gen_dir)])
-        out = tmp_path / "report.json"
-        rc = main(["analyze", "--edges", str(gen_dir / "edges.txt"),
-                   "--features", str(gen_dir / "features.csv"),
-                   "--labels", str(gen_dir / "labels.txt"),
-                   "--out", str(out)])
+        cfg = {"dataset": {"kind": "files",
+                           "edges": str(gen_dir / "edges.txt"),
+                           "features": str(gen_dir / "features.csv"),
+                           "labels": str(gen_dir / "labels.txt")}}
+        out = tmp_path / "runs"
+        rc = main(["analyze", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(out)])
         assert rc == 0
-        assert json.loads(out.read_text())["nodes"] == 100
+        assert json.loads((out / "analyze.json").read_text())["nodes"] == 100
 
     def test_missing_files_exit_3(self, tmp_path):
-        rc = main(["analyze", "--edges", str(tmp_path / "nope.txt"),
-                   "--features", str(tmp_path / "nope.csv"),
-                   "--labels", str(tmp_path / "nope.txt")])
+        cfg = {"dataset": {"kind": "files",
+                           "edges": str(tmp_path / "nope.txt"),
+                           "features": str(tmp_path / "nope.csv"),
+                           "labels": str(tmp_path / "nope.txt")}}
+        rc = main(["analyze", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(tmp_path / "runs")])
         assert rc == 3
+
+
+@pytest.mark.parametrize("command", ["csbm-gen", "analyze"])
+class TestDatasetCommands:
+    def test_flags_are_the_config_flags(self, command):
+        args = vars(build_parser().parse_args([command]))
+        assert set(args) == {"command", "fn", "config", "seed_list",
+                             "out_dir"}
+
+    def test_unknown_csbm_key_exits_2(self, tmp_path, capsys, command):
+        cfg = {"dataset": {**TINY["dataset"], "bogus": 1}}
+        out = tmp_path / "runs"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:
