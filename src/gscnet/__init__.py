@@ -8,9 +8,8 @@ from .graph import SparseGraph, adjacency_apply, build_csr, gcn_norm_apply, \
     laplacian_apply, permute_graph, shifted_apply
 from .model import ARCHITECTURES, AdamState, ModelParams, TrainConfig, \
     adam_step, forward, init_params, loss_and_grad, predict
-from .pnca import ActivationClass, NodeActivationSpec, classify_graph_activation, \
-    classify_node_activation, label_smoothness, node_activation, \
-    positive_combination_check, rayleigh_quotient
+from .pnca import ActivationClass, classify_graph_activation, \
+    label_smoothness, positive_combination_check, rayleigh_quotient
 from .train import RunRecord, train_single
 from .verify import EigenSystem, dense_eigensystem, dense_matrix_power, \
     finite_difference_gradient, spectral_filter_oracle

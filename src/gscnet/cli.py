@@ -167,15 +167,11 @@ def _cmd_analyze(args) -> int:
     report["degree"] = {"min": float(deg.min()) if g.n else 0.0,
                         "mean": float(deg.mean()) if g.n else 0.0,
                         "max": float(deg.max()) if g.n else 0.0}
-    if g.n <= pnca.CLASSIFY_GUARD:
-        shifted = pnca.classify_graph_activation(
-            pnca.dense_transform(g, "shifted"), g)
-        lap = pnca.classify_graph_activation(
-            pnca.dense_transform(g, "laplacian"), g)
-        report["activation"] = {
-            "shifted": {"label": shifted.label, "witness": shifted.witness},
-            "laplacian": {"label": lap.label, "witness": lap.witness},
-        }
+    report["activation"] = {}
+    for kind in ("shifted", "laplacian"):
+        verdict = pnca.classify_graph_activation(pnca.transform(g, kind), g)
+        report["activation"][kind] = {"label": verdict.label,
+                                      "witness": verdict.witness}
     experiments.write_json(os.path.join(_out_dir(config), "analyze.json"),
                            report)
     print(json.dumps(report, indent=2, sort_keys=True))

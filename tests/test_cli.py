@@ -258,6 +258,19 @@ class TestAnalyzeCommand:
         assert report["activation"]["shifted"]["label"] == "Positive"
         assert report["activation"]["laplacian"]["label"] == "Negative"
 
+    def test_activation_above_dense_sizes(self, tmp_path):
+        # Above CLASSIFY_GUARD: the verdicts need no dense matrix.
+        cfg = {"dataset": {"kind": "csbm", "regime": "heterophily",
+                           "n": 2500}}
+        out = tmp_path / "runs"
+        rc = main(["analyze", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(out)])
+        assert rc == 0
+        report = json.loads((out / "analyze.json").read_text())
+        assert report["nodes"] == 2500
+        assert report["activation"]["shifted"]["label"] == "Positive"
+        assert report["activation"]["laplacian"]["label"] == "Negative"
+
     def test_file_input(self, tmp_path):
         gen_dir = tmp_path / "data"
         cfg = {"dataset": {"kind": "csbm", "regime": "homophily", "n": 100}}
@@ -307,3 +320,24 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
+        # Each check reports the bound its measurement is held to.
+        checks = {c["name"]: c for c in report["checks"]}
+        assert {name: c["bound"] for name, c in checks.items()} == {
+            "eigensystem": {"reconstruction_err": 1e-8,
+                            "orthonormality_err": 1e-10,
+                            "eigenvalue_range": [-1e-9, 2.0 + 1e-9]},
+            "spectral_filter_agreement": 1e-8,
+            "recurrence_vs_power": 1e-10,
+            "rayleigh_monotonicity": 0,
+            "shifted_combination_positivity": 0,
+            "gradient_check": 1e-4}
+        eig = checks.pop("eigensystem")
+        for key in ("reconstruction_err", "orthonormality_err"):
+            assert eig[key] <= eig["bound"][key]
+        (lo, hi), (low, high) = (eig["eigenvalue_range"],
+                                 eig["bound"]["eigenvalue_range"])
+        assert low <= lo and hi <= high
+        for c in checks.values():
+            measured = c.get("worst_relative_err",
+                             c.get("violations", c.get("failures")))
+            assert measured <= c["bound"]

@@ -1,100 +1,67 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gscnet.errors import (ContractViolationError, DegenerateInputError,
                            InputError, SizeGuardError)
 from gscnet.graph import build_csr, laplacian_apply, permute_graph, shifted_apply
-from gscnet.pnca import (NodeActivationSpec, classify_graph_activation,
-                         classify_node_activation, k_hop_neighborhoods,
-                         label_smoothness, node_activation,
-                         positive_combination_check, rayleigh_quotient)
+from gscnet.pnca import (CLASSIFY_GUARD, classify_graph_activation,
+                         label_smoothness, positive_combination_check,
+                         rayleigh_quotient, transform)
 
 from conftest import (K2_EDGES, P3_EDGES, TRIANGLE_EDGES, connected_edges,
                       dense_shifted_ref, er_edges)
 
 
-class TestNodeActivation:
-    def test_identity_case(self, rng):
-        g = build_csr(K2_EDGES, 2)
-        X = rng.normal(size=(2, 3))
-        spec = NodeActivationSpec(target=0, self_coeff=1.0,
-                                  neighbor_coeffs={1: 0.0}, hops=1)
-        assert np.array_equal(node_activation(X, g, spec), X[0])
-
-    def test_k2_sum(self, rng):
-        g = build_csr(K2_EDGES, 2)
-        X = rng.normal(size=(2, 3))
-        spec = NodeActivationSpec(0, 1.0, {1: 1.0}, hops=1)
-        assert np.allclose(node_activation(X, g, spec), X[0] + X[1])
-
-    def test_p3_two_hop(self, rng):
-        g = build_csr(P3_EDGES, 3)
-        X = rng.normal(size=(3, 4))
-        spec = NodeActivationSpec(0, 2.0, {1: 1.0, 2: 1.0}, hops=2)
-        assert np.allclose(node_activation(X, g, spec),
-                           2 * X[0] + X[1] + X[2])
-
-    def test_non_neighbor_coefficient_rejected(self):
-        g = build_csr(P3_EDGES, 3)
-        spec = NodeActivationSpec(0, 1.0, {2: 1.0}, hops=1)  # 2 is 2 hops away
-        with pytest.raises(InputError):
-            node_activation(np.zeros((3, 1)), g, spec)
-
-    def test_negative_self_coeff_rejected(self):
-        with pytest.raises(InputError):
-            NodeActivationSpec(0, -1.0, {}, hops=1)
-
-    def test_hop_structure(self):
-        g = build_csr(P3_EDGES, 3)
-        hops = k_hop_neighborhoods(g, 0, 2)
-        assert np.array_equal(hops[0], [1])
-        assert np.array_equal(hops[1], [2])
-
-    def test_permutation_invariance_bit_exact(self, rng):
-        # Permuted instance built with entries in the same insertion order.
-        for _ in range(100):
-            n = int(rng.integers(3, 25))
-            g = build_csr(connected_edges(rng, n), n)
-            X = rng.normal(size=(n, 3))
-            t = int(rng.integers(0, n))
-            hops = int(rng.integers(1, 4))
-            nbrs = [int(x) for h in k_hop_neighborhoods(g, t, hops) for x in h]
-            coeffs = {s: float(rng.normal()) for s in nbrs}
-            spec = NodeActivationSpec(t, float(rng.random()), coeffs, hops)
-
-            p = rng.permutation(n)
-            inv = np.argsort(p)
-            gp, Xp = permute_graph(g, X, p)
-            spec_p = NodeActivationSpec(int(inv[t]), spec.self_coeff,
-                                        {int(inv[s]): c for s, c in coeffs.items()},
-                                        hops)
-            a = node_activation(X, g, spec)
-            b = node_activation(Xp, gp, spec_p)
-            assert np.array_equal(a, b)
+def row_major_reference(T, g):
+    """(label, witness) by scanning dense T in row-major order against the
+    pattern of A + I."""
+    on_edge = g.adjacency.toarray() != 0
+    np.fill_diagonal(on_edge, True)
+    for (i, j), value in np.ndenumerate(T):
+        if on_edge[i, j] and not value > 0:
+            return "Negative", ((i, j), value,
+                                "non-positive entry on edge/self-loop")
+        if not on_edge[i, j] and value < 0:
+            return "Negative", ((i, j), value,
+                                "negative entry off the edge pattern")
+    return "Positive", None
 
 
-class TestClassifyNodeActivation:
-    def test_positive(self):
-        spec = NodeActivationSpec(0, 1.0, {1: 1.0, 2: 0.0}, hops=1)
-        assert classify_node_activation(spec).positive
+@st.composite
+def graph_and_matrix(draw):
+    """A small graph (self-loops and isolated nodes allowed) and a COO
+    matrix that may hold duplicates, negatives anywhere and stored zeros
+    on its edges."""
+    n = draw(st.integers(0, 7))
+    if n == 0:
+        return build_csr([], 0), scipy.sparse.coo_array((0, 0))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=12))
+    g = build_csr(edges, n)
+    entries = draw(st.lists(
+        st.tuples(node, node, st.sampled_from([-1.5, 0.0, 0.25, 1.0])),
+        max_size=30))
+    if draw(st.booleans()):
+        entries += [(u, v, 0.0) for u, v in edges]
+    if draw(st.booleans()):  # entries on the whole pattern, as a transform
+        entries += [(i, i, 1.0) for i in range(n)]
+        entries += [(u, v, 0.5) for u, v in edges] + [(v, u, 0.5)
+                                                      for u, v in edges]
+    rows, cols, values = zip(*entries) if entries else ((), (), ())
+    return g, scipy.sparse.coo_array((values, (rows, cols)), shape=(n, n))
 
-    def test_negative_coefficient(self):
-        spec = NodeActivationSpec(0, 1.0, {1: -1.0}, hops=1)
-        verdict = classify_node_activation(spec)
-        assert not verdict.positive
-        assert verdict.witness[0] == 1
 
-    def test_zero_self_coefficient(self):
-        spec = NodeActivationSpec(0, 0.0, {1: 1.0}, hops=1)
-        assert not classify_node_activation(spec).positive
-
-    def test_all_zero_flagged(self):
-        spec = NodeActivationSpec(0, 0.0, {1: 0.0}, hops=1)
-        verdict = classify_node_activation(spec)
-        assert not verdict.positive
-        assert verdict.note == "all coefficients zero"
+def stored_as_is(coo):
+    """CSR holding coo's entries as they are: duplicates and stored zeros
+    kept, columns unsorted within a row."""
+    order = np.argsort(coo.row, kind="stable")
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(coo.row, minlength=coo.shape[0]))])
+    return scipy.sparse.csr_array((coo.data[order], coo.col[order], indptr),
+                                  shape=coo.shape)
 
 
 class TestClassifyGraphActivation:
@@ -122,9 +89,37 @@ class TestClassifyGraphActivation:
         assert not verdict.positive
 
     def test_size_guard(self):
-        g = build_csr([(0, 1)], 2001)
+        # The classifier reads the sparse pattern at any n; only the dense
+        # expansion of powers is guarded.
+        n = CLASSIFY_GUARD + 1
+        g = build_csr([(0, 1)], n)
+        assert classify_graph_activation(transform(g, "shifted"), g).positive
         with pytest.raises(SizeGuardError):
-            classify_graph_activation(np.zeros((2001, 2001)), g)
+            positive_combination_check([1.0, 1.0], g)
+
+    @given(case=graph_and_matrix())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_major_reference(self, case):
+        g, T = case
+        expected = row_major_reference(T.toarray(), g)
+        for given_T in (T.toarray(), T, T.tocsr(), stored_as_is(T)):
+            verdict = classify_graph_activation(given_T, g)
+            assert (verdict.label, verdict.witness) == expected
+
+    def test_witness_on_sparse_transforms(self):
+        # Node 0 has only a self-loop, so I - Â stores no entry at (0, 0).
+        g = build_csr([(0, 0), (1, 2)], 3)
+        assert classify_graph_activation(transform(g, "shifted"), g).positive
+        verdict = classify_graph_activation(transform(g, "laplacian"), g)
+        assert verdict.witness == ((0, 0), 0.0,
+                                   "non-positive entry on edge/self-loop")
+
+    def test_shape_checked(self):
+        g = build_csr(K2_EDGES, 2)
+        with pytest.raises(InputError):
+            classify_graph_activation(np.eye(3), g)
+        with pytest.raises(InputError):
+            classify_graph_activation(scipy.sparse.eye_array(3), g)
 
     def test_lemma_closure_under_nonneg_sums(self, rng):
         # Random edge-patterned positive activations stay positive under
