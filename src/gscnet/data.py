@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateInputError, InputError
 from .graph import SparseGraph, build_csr, num_components, read_edge_list, \
-    write_edge_list
+    read_text_values, write_edge_list
 from .pnca import label_smoothness
 
 
@@ -238,51 +238,40 @@ def save_dataset(ds: Dataset, edge_path, feature_path, label_path):
             f.write(f"{int(y)}\n")
 
 
-def _open_text(path, label):
-    try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {label} file: {exc}", path)
-
-
 def _read_features(path) -> np.ndarray:
-    rows = []
     width = None
-    with _open_text(path, "feature") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise DataError("unparseable feature row", path, lineno)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataError(
-                    f"feature row has {len(row)} columns, expected {width}",
-                    path, lineno)
-            rows.append(row)
-    if not rows:
+
+    def parse(line, lineno):
+        nonlocal width
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            raise DataError("unparseable feature row", path, lineno)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataError(
+                f"feature row has {len(row)} columns, expected {width}",
+                path, lineno)
+        return row
+
+    values = read_text_values(path, "feature", parse, np.float64)
+    if width is None:
         raise DataError("feature file is empty", path)
-    return np.asarray(rows, dtype=np.float64)
+    return values.reshape(-1, width)
 
 
 def _read_labels(path) -> np.ndarray:
-    labels = []
-    with _open_text(path, "label") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                y = int(line)
-            except ValueError:
-                raise DataError(f"unparseable label {line!r}", path, lineno)
-            if y < 0:
-                raise DataError(f"label {y} out of range", path, lineno)
-            labels.append(y)
-    if not labels:
+    def parse(line, lineno):
+        try:
+            y = int(line)
+        except ValueError:
+            raise DataError(f"unparseable label {line!r}", path, lineno)
+        if y < 0:
+            raise DataError(f"label {y} out of range", path, lineno)
+        return (y,)
+
+    labels = read_text_values(path, "label", parse, np.int64)
+    if not labels.size:
         raise DataError("label file is empty", path)
-    return np.asarray(labels, dtype=np.int64)
+    return labels

@@ -132,12 +132,6 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
                        b2=np.zeros(d_out), filter=spec, gcn_depth=gcn_depth)
 
 
-def _dropout_mask(rng, shape, rate: float):
-    # Inverted dropout: mask is 0 or 1/(1-rate) so eval needs no rescaling.
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
-
-
 def _blocks(params: ModelParams, g: SparseGraph, V: np.ndarray):
     """The architecture's basis blocks B_k(V), one per entry of
     `_coefficients(params)` and in its order."""
@@ -183,22 +177,27 @@ def forward(params: ModelParams, g: SparseGraph, X, mode: str = "eval",
 
     train = mode == "train"
 
-    def maybe_drop(V, rate):
+    def drop_mask(shape, rate):
+        # Inverted dropout: the mask is 0 or 1/(1-rate), so eval needs no
+        # rescaling. It is built in the buffer of its uniforms.
         if not train or rate <= 0.0:
-            return V, None
+            return None
         if rng is None:
             raise InputError("train mode with dropout needs an rng")
-        mask = _dropout_mask(rng, V.shape, rate)
-        return V * mask, mask
+        u = rng.random(shape)
+        return np.multiply(u >= rate, 1.0 / (1.0 - rate), out=u)
 
     def mlp(V):
         a1 = V @ params.w1 + params.b1
         h1 = np.maximum(a1, 0.0)
         return h1 @ params.w2 + params.b2, a1, h1
 
-    Xd, _ = maybe_drop(X, dropout_linear)
+    # The input mask's buffer becomes Xd: one n x d array beyond X.
+    mask_lin = drop_mask(X.shape, dropout_linear)
+    Xd = X if mask_lin is None else np.multiply(X, mask_lin, out=mask_lin)
     H, a1, h1 = mlp(Xd)
-    Hd, mask_conv = maybe_drop(H, dropout_conv)
+    mask_conv = drop_mask(H.shape, dropout_conv)
+    Hd = H if mask_conv is None else np.multiply(H, mask_conv, out=H)
     Z, blocks = _propagate(params, g, Hd)
     tape = {"Xd": Xd, "a1": a1, "h1": h1, "mask_conv": mask_conv,
             "blocks": blocks}

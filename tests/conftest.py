@@ -4,6 +4,8 @@ The reference operators below are built entry-by-entry from an edge list,
 deliberately sharing no code with the package paths they are used to check.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,17 @@ def connected_edges(rng, n, extra_p=0.15):
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     edges += er_edges(rng, n, extra_p)
     return edges
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, the peak bytes tracemalloc saw allocated during it)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 K2_EDGES = [(0, 1)]

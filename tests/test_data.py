@@ -17,6 +17,8 @@ from gscnet.errors import DataError, DegenerateInputError, InputError
 from gscnet.graph import build_csr
 from gscnet.pnca import label_smoothness
 
+from conftest import traced_peak
+
 
 class TestCsbmGenerate:
     def test_deterministic_limit_two_cliques(self):
@@ -231,6 +233,44 @@ class TestLoaders:
             load_dataset(tmp_path / "e.txt", tmp_path / "x.csv",
                          tmp_path / "y.txt")
         assert exc.value.line == 2
+
+    def test_wide_features_load_within_twice_the_array(self, tmp_path):
+        # 2x leaves room for the array and np.fromiter's regrowth, but not
+        # for a Python float per value (32 B against the array's 8 B).
+        ds = csbm_generate(CsbmParams(n=1000, d=400, seed=0))
+        paths = [tmp_path / p for p in ("e.txt", "x.csv", "y.txt")]
+        save_dataset(ds, *paths)
+        again, peak = traced_peak(load_dataset, *paths)
+        assert again.features.tobytes() == ds.features.tobytes()
+        assert peak <= 2 * again.features.nbytes
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        (tmp_path / "e.txt").write_text("\n0 1\n")
+        (tmp_path / "x.csv").write_text("1.0,2.0\n\n-0.0,4.0\n\n")
+        (tmp_path / "y.txt").write_text("0\n\n1\n")
+        ds = load_dataset(tmp_path / "e.txt", tmp_path / "x.csv",
+                          tmp_path / "y.txt")
+        assert ds.features.tobytes() == np.array(
+            [[1.0, 2.0], [-0.0, 4.0]]).tobytes()
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
+        (tmp_path / "x.csv").write_text("1.0,2.0\n\n3.0\n")
+        with pytest.raises(DataError) as exc:
+            load_dataset(tmp_path / "e.txt", tmp_path / "x.csv",
+                         tmp_path / "y.txt")
+        assert exc.value.line == 3
+
+    def test_empty_files_rejected(self, tmp_path):
+        (tmp_path / "e.txt").write_text("0 1\n")
+        (tmp_path / "x.csv").write_text("\n")
+        (tmp_path / "y.txt").write_text("0\n1\n")
+        with pytest.raises(DataError, match="feature file is empty"):
+            load_dataset(tmp_path / "e.txt", tmp_path / "x.csv",
+                         tmp_path / "y.txt")
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "y.txt").write_text("")
+        with pytest.raises(DataError, match="label file is empty"):
+            load_dataset(tmp_path / "e.txt", tmp_path / "x.csv",
+                         tmp_path / "y.txt")
 
     def test_unparseable_feature_reports_line(self, tmp_path):
         (tmp_path / "x.csv").write_text("1.0,2.0\n1.0,oops\n")

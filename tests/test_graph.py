@@ -14,7 +14,7 @@ from gscnet.verify import (dense_adjacency, dense_eigensystem,
 
 from conftest import (K2_EDGES, P3_EDGES, connected_edges,
                       dense_gcn_norm_ref, dense_laplacian_ref,
-                      dense_shifted_ref, er_edges)
+                      dense_shifted_ref, er_edges, traced_peak)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -341,6 +341,26 @@ class TestEdgeListIO:
         edges = read_edge_list(path, n=3)
         g = build_csr(edges, 3)
         assert g.num_edges == 2
+
+    def test_reads_int64_pairs_within_twice_the_array(self, tmp_path, rng):
+        # The (m, 2) int64 array holds 16 B per edge; a Python tuple per
+        # edge would take about 120 B.
+        n = 5000
+        g = build_csr(rng.integers(0, n, size=(30000, 2)), n)
+        path = tmp_path / "edges.txt"
+        write_edge_list(path, g)
+        edges, peak = traced_peak(read_edge_list, path, n=n)
+        assert edges.dtype == np.int64 and edges.shape == (g.num_edges, 2)
+        assert peak <= 2 * edges.nbytes
+        g2 = build_csr(edges, n)
+        assert np.array_equal(g.adjacency.indices, g2.adjacency.indices)
+        assert np.array_equal(g.adjacency.indptr, g2.adjacency.indptr)
+
+    def test_empty_file_reads_no_pairs(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("# no edges\n\n")
+        edges = read_edge_list(path, n=3)
+        assert edges.dtype == np.int64 and edges.shape == (0, 2)
 
     def test_roundtrip(self, tmp_path, rng):
         n = 15

@@ -1,3 +1,4 @@
+import copy
 import sys
 
 import numpy as np
@@ -15,7 +16,8 @@ from gscnet.train import train_single
 from gscnet.basis import FilterSpec
 
 from conftest import (K2_EDGES, connected_edges, dense_gcn_norm_ref,
-                      dense_laplacian_ref, dense_shifted_ref, er_edges)
+                      dense_laplacian_ref, dense_shifted_ref, er_edges,
+                      traced_peak)
 
 
 def mlp_eval(params, X):
@@ -109,6 +111,26 @@ class TestForward:
                         dropout_linear=0.3, dropout_conv=0.3)
         assert np.array_equal(t1, t2)
 
+    def test_train_dropout_masks_match_contract(self, rng):
+        n, d, d_out, rate_lin, rate_conv = 40, 7, 3, 0.3, 0.2
+        g = build_csr(connected_edges(rng, n), n)
+        X = rng.normal(size=(n, d))
+        X_before = X.copy()
+        params = init_params("GSCNet", d, d_out, 2, 1, seed=0)
+        gen = np.random.default_rng(11)
+        ref = copy.deepcopy(gen)
+        _, tape = forward(params, g, X, mode="train", rng=gen,
+                          dropout_linear=rate_lin, dropout_conv=rate_conv)
+        mask_lin = (ref.random((n, d)) >= rate_lin).astype(np.float64) \
+            / (1 - rate_lin)
+        mask_conv = (ref.random((n, d_out)) >= rate_conv).astype(np.float64) \
+            / (1 - rate_conv)
+        # Bytes, not values: a dropped negative feature is -0.0.
+        assert tape["Xd"].tobytes() == (X * mask_lin).tobytes()
+        assert tape["mask_conv"].tobytes() == mask_conv.tobytes()
+        assert X.tobytes() == X_before.tobytes()
+        assert gen.bit_generator.state == ref.bit_generator.state
+
     def test_width_mismatch_rejected(self, rng):
         g = build_csr(K2_EDGES, 2)
         params = init_params("GSCNet", 4, 2, 1, 1, seed=0)
@@ -201,6 +223,20 @@ class TestGradients:
     def test_pure_negative_family(self, rng):
         worst = _gradcheck_instance(rng, arch="GSCNet", k1=-1, k2=3)
         assert worst <= 1e-4
+
+    def test_wide_input_dropout_within_twice_the_features(self):
+        # The input mask is built in its uniforms' buffer, which then
+        # becomes Xd: one n x d float array, plus a bool array for the
+        # comparison and the MLP's n x 64 arrays.
+        ds = csbm_generate(CsbmParams(n=1000, d=400, seed=0))
+        split = random_split(ds.n, seed=0)
+        params = init_params("GSCNet", ds.d, 2, 2, 2, seed=0)
+        cfg = TrainConfig(dropout_linear=0.1)
+        gen = np.random.default_rng(0)
+        args = (params, ds.graph, ds.features, ds.labels, split.train, cfg)
+        loss_and_grad(*args, rng=gen)  # warm: builds the graph operators
+        _, peak = traced_peak(loss_and_grad, *args, rng=gen)
+        assert peak <= 2 * ds.features.nbytes
 
 
 def applies_per_pass(arch, k1, k2):
