@@ -1,11 +1,11 @@
 """Sparse spectral graph-filter engine with decoupled positive/negative bases."""
 
-from .basis import BasisCache, FilterSpec, bernstein_blocks, \
-    build_basis_cache, combine, gsc_combine, monomial_prop
+from .basis import FilterSpec, bernstein_blocks, build_basis_cache, \
+    combine, gsc_combine, gsc_weights, monomial_prop
 from .data import CsbmParams, Dataset, Split, csbm_generate, csbm_params_for, \
     load_dataset, random_split, save_dataset
 from .graph import SparseGraph, adjacency_apply, build_csr, gcn_norm_apply, \
-    laplacian_apply, permute_graph, shifted_apply
+    laplacian_apply, normalized_apply, permute_graph, shifted_apply
 from .model import ARCHITECTURES, AdamState, ModelParams, TrainConfig, \
     adam_step, forward, init_params, loss_and_grad, predict
 from .pnca import ActivationClass, classify_graph_activation, \

@@ -1,11 +1,13 @@
 """Polynomial basis blocks and filter combination.
 
-The filter Z = (sum_i alpha_i (2I-L)^i + sum_j beta_j L^j) X is evaluated
-against cached propagated-feature blocks P_i = (2I-L)^i X and Q_j = L^j X,
-built by the one-step recurrences P_{i+1} = (2I-L) P_i, Q_{j+1} = L Q_j.
-Blocks live at the n x d feature level, never as n x n operators, so a
-cache build costs (K1+K2) sparse applies and combination is a weighted sum
-of dense blocks: O((K1+K2) * nnz * d) total.
+The filter Z = (sum_i alpha_i (2I-L)^i + sum_j beta_j L^j) X has two
+families, P_i = (2I-L)^i X = (I+Â)^i X and Q_j = L^j X = (I-Â)^j X, and
+both are polynomials in the one operator Â = D^{-1/2} A D^{-1/2}. So the
+cache is the Krylov sequence T_m = Â^m X for m <= K = max(K1, K2), built
+by T_{m+1} = Â T_m in K sparse applies, and the filter is one weighted sum
+Z = sum_m gamma_m T_m with gamma = W (alpha, beta), where `gsc_weights`
+holds the binomial coefficients of both families. Blocks live at the
+n x d feature level, never as n x n operators: O(K * nnz * d) in total.
 
 The baselines' blocks come from here too (BernNet's Bernstein terms, the
 M powers of GCN and JKNet), and `combine` is the one weighted sum every
@@ -14,12 +16,14 @@ model uses, forward and backward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
-from .graph import SparseGraph, laplacian_apply, shifted_apply, gcn_norm_apply
+from .graph import SparseGraph, gcn_norm_apply, laplacian_apply, \
+    normalized_apply, shifted_apply
 
 
 @dataclass(frozen=True)
@@ -52,25 +56,6 @@ class FilterSpec:
         return self.beta.shape[0] - 1
 
 
-@dataclass(frozen=True)
-class BasisCache:
-    """Propagated blocks P_i = (2I-L)^i X (i <= k1), Q_j = L^j X (j <= k2).
-
-    P_0 and Q_0 are the input X itself, bit-exact.
-    """
-
-    p_blocks: tuple
-    q_blocks: tuple
-
-    @property
-    def k1(self) -> int:
-        return len(self.p_blocks) - 1
-
-    @property
-    def k2(self) -> int:
-        return len(self.q_blocks) - 1
-
-
 def operator_powers(apply, g: SparseGraph, X, k: int) -> list:
     """[X, op X, ..., op^k X] for the sparse apply ``apply``, by the one-step
     recurrence: k sparse applies."""
@@ -80,15 +65,35 @@ def operator_powers(apply, g: SparseGraph, X, k: int) -> list:
     return blocks
 
 
-def build_basis_cache(g: SparseGraph, X, k1: int, k2: int) -> BasisCache:
-    """Build both block families by the one-step recurrences."""
+def build_basis_cache(g: SparseGraph, X, k1: int, k2: int) -> list:
+    """The Krylov blocks [X, Â X, ..., Â^K X] with K = max(k1, k2): every
+    block either family of degree (k1, k2) needs, in K sparse applies. The
+    first block is X itself."""
     if k1 < 0 or k2 < 0:
         raise InputError(f"degrees must be non-negative, got ({k1}, {k2})")
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != g.n:
         raise InputError(f"feature rows {X.shape[0]} != node count {g.n}")
-    return BasisCache(tuple(operator_powers(shifted_apply, g, X, k1)),
-                      tuple(operator_powers(laplacian_apply, g, X, k2)))
+    return operator_powers(normalized_apply, g, X, max(k1, k2))
+
+
+def gsc_weights(k1: int, k2: int) -> np.ndarray:
+    """The map W from c = (alpha, beta) to Krylov weights, so that
+    sum_i alpha_i P_i + sum_j beta_j Q_j = sum_m (W c)_m Â^m X, by the
+    binomial expansions (I+Â)^i = sum_m C(i,m) Â^m and
+    (I-Â)^j = sum_m (-1)^m C(j,m) Â^m.
+
+    Shape (max(k1, k2, 0) + 1, k1 + k2 + 2); a family of degree -1 has no
+    column. The entries are integers, exact in float64.
+    """
+    K = max(k1, k2, 0)
+    W = np.zeros((K + 1, k1 + k2 + 2))
+    for i in range(k1 + 1):
+        W[:i + 1, i] = [math.comb(i, m) for m in range(i + 1)]
+    for j in range(k2 + 1):
+        W[:j + 1, k1 + 1 + j] = [(-1) ** m * math.comb(j, m)
+                                 for m in range(j + 1)]
+    return W
 
 
 def combine(blocks, coeffs) -> np.ndarray:
@@ -100,16 +105,15 @@ def combine(blocks, coeffs) -> np.ndarray:
     return Z
 
 
-def gsc_combine(cache: BasisCache, spec: FilterSpec) -> np.ndarray:
-    """Z = sum_i alpha_i P_i + sum_j beta_j Q_j; linear in (alpha, beta)."""
-    if spec.k1 > cache.k1 or spec.k2 > cache.k2:
+def gsc_combine(blocks, spec: FilterSpec) -> np.ndarray:
+    """Z = sum_i alpha_i P_i + sum_j beta_j Q_j over the Krylov blocks of
+    `build_basis_cache`; linear in (alpha, beta)."""
+    W = gsc_weights(spec.k1, spec.k2)
+    if W.shape[0] > len(blocks):
         raise InputError(
-            f"filter degrees ({spec.k1}, {spec.k2}) exceed cache degrees "
-            f"({cache.k1}, {cache.k2})")
-    blocks = cache.p_blocks[:spec.k1 + 1] + cache.q_blocks[:spec.k2 + 1]
-    if not blocks:  # both families off: the zero filter
-        return np.zeros_like(cache.p_blocks[0])
-    return combine(blocks, np.concatenate([spec.alpha, spec.beta]))
+            f"filter degrees ({spec.k1}, {spec.k2}) exceed the cache degree "
+            f"{len(blocks) - 1}")
+    return combine(blocks, W @ np.concatenate([spec.alpha, spec.beta]))
 
 
 def bernstein_blocks(g: SparseGraph, X, K: int) -> list:

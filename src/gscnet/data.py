@@ -9,6 +9,7 @@ File layout (auditable text formats, no binaries):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -258,7 +259,21 @@ def _read_features(path) -> np.ndarray:
     values = read_text_values(path, "feature", parse, np.float64)
     if width is None:
         raise DataError("feature file is empty", path)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite)) // width
+        raise DataError("feature row contains NaN/Inf", path,
+                        _line_of_row(path, row))
     return values.reshape(-1, width)
+
+
+def _line_of_row(path, row: int) -> int:
+    """Line number of data row ``row`` (0-based) of a file whose blank lines
+    carry no row."""
+    with open(path, "r", encoding="utf-8") as f:
+        data_lines = (lineno for lineno, raw in enumerate(f, start=1)
+                      if raw.strip())
+        return next(itertools.islice(data_lines, row, None))
 
 
 def _read_labels(path) -> np.ndarray:

@@ -10,7 +10,9 @@ sparse-times-dense product with it:
     gcn_operator         M = D_hat^{-1/2} (A + I) D_hat^{-1/2},  D_hat = D + I
 
 so L X = X - Â X and (2I - L) X = X + Â X, with no diagonal scaling around
-the product. No operator is ever materialized densely here; the dense
+the product. GSCNet's two families are both polynomials in Â, so its basis
+needs only `normalized_apply`, Â X; BernNet's reference basis applies L and
+2I - L themselves. No operator is ever materialized densely here; the dense
 matrices in ``verify`` are the independent oracles for these products.
 
 Isolated nodes: D^{-1/2} is undefined at degree 0, but A has neither a row
@@ -144,6 +146,11 @@ def _operand(g: SparseGraph, X) -> np.ndarray:
 def adjacency_apply(g: SparseGraph, X) -> np.ndarray:
     """A @ X; rows without neighbors yield zero."""
     return g.adjacency @ _operand(g, X)
+
+
+def normalized_apply(g: SparseGraph, X) -> np.ndarray:
+    """Â X with Â = D^{-1/2} A D^{-1/2}."""
+    return g.normalized_adjacency @ _operand(g, X)
 
 
 def laplacian_apply(g: SparseGraph, X) -> np.ndarray:

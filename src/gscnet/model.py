@@ -8,12 +8,14 @@ Z = prop(H).
     BernNet  prop(V) = sum_{k=0..K} alpha_k (2I-L)^k L^{K-k} V
 
 One propagation path serves all four: `_blocks` names each architecture's
-basis blocks B_k(V), and prop(V) = sum_k c_k B_k(V) with c = (alpha, beta),
-or c = [1] for GCN's one fixed block. Every operator is symmetric, so the
-backward pass is the same path run on dZ, and the gradient of c_k is
-<dZ, B_k(V)>. Dropout is applied at two sites: on the first stage's input
-(linear rate) and between the stages (conv rate), inverted-scaled at train
-time.
+basis blocks B_m(V), and prop(V) = sum_m (W c)_m B_m(V) with c = (alpha,
+beta), or c = [1] for GCN's one fixed block. W is the identity except for
+GSCNet, whose blocks are the Krylov sequence Â^m V, m <= max(k1, k2), and
+whose W holds the binomial coefficients of (I+Â)^i and (I-Â)^j. Every
+operator is symmetric, so the backward pass is the same path run on dZ,
+and the gradient of c is W^T t with t_m = <dZ, B_m(V)>. Dropout is
+applied at two sites: on the first stage's input (linear rate) and
+between the stages (conv rate), inverted-scaled at train time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (FilterSpec, bernstein_blocks, build_basis_cache, combine,
-                    monomial_prop, operator_powers)
+                    gsc_weights, monomial_prop, operator_powers)
 from .errors import InputError
 from .graph import SparseGraph, gcn_norm_apply
 
@@ -133,12 +135,11 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
 
 
 def _blocks(params: ModelParams, g: SparseGraph, V: np.ndarray):
-    """The architecture's basis blocks B_k(V), one per entry of
-    `_coefficients(params)` and in its order."""
+    """The architecture's basis blocks B_m(V), one per row of
+    `_weight_map(params)`, or per coefficient where that is the identity."""
     spec = params.filter
     if params.arch == "GSCNet":
-        cache = build_basis_cache(g, V, max(spec.k1, 0), max(spec.k2, 0))
-        return cache.p_blocks[:spec.k1 + 1] + cache.q_blocks[:spec.k2 + 1]
+        return build_basis_cache(g, V, max(spec.k1, 0), max(spec.k2, 0))
     if params.arch == "GCN":
         return [monomial_prop(g, V, params.gcn_depth)]
     if params.arch == "JKNet":
@@ -153,10 +154,19 @@ def _coefficients(params: ModelParams) -> np.ndarray:
     return c if c.size else np.ones(1)
 
 
+def _weight_map(params: ModelParams):
+    """W, which maps the coefficients c to the block weights W c; None
+    stands for the identity."""
+    if params.arch == "GSCNet":
+        return gsc_weights(params.filter.k1, params.filter.k2)
+    return None
+
+
 def _propagate(params: ModelParams, g: SparseGraph, V: np.ndarray):
-    """(sum_k c_k B_k(V), the blocks B_k(V))."""
+    """(sum_m (W c)_m B_m(V), the blocks B_m(V))."""
     blocks = _blocks(params, g, V)
-    return combine(blocks, _coefficients(params)), blocks
+    c, W = _coefficients(params), _weight_map(params)
+    return combine(blocks, c if W is None else W @ c), blocks
 
 
 def forward(params: ModelParams, g: SparseGraph, X, mode: str = "eval",
@@ -187,20 +197,19 @@ def forward(params: ModelParams, g: SparseGraph, X, mode: str = "eval",
         u = rng.random(shape)
         return np.multiply(u >= rate, 1.0 / (1.0 - rate), out=u)
 
-    def mlp(V):
-        a1 = V @ params.w1 + params.b1
-        h1 = np.maximum(a1, 0.0)
-        return h1 @ params.w2 + params.b2, a1, h1
-
     # The input mask's buffer becomes Xd: one n x d array beyond X.
     mask_lin = drop_mask(X.shape, dropout_linear)
     Xd = X if mask_lin is None else np.multiply(X, mask_lin, out=mask_lin)
-    H, a1, h1 = mlp(Xd)
+    # The MLP builds each stage in its product's buffer.
+    h1 = Xd @ params.w1
+    h1 += params.b1
+    np.maximum(h1, 0.0, out=h1)
+    H = h1 @ params.w2
+    H += params.b2
     mask_conv = drop_mask(H.shape, dropout_conv)
     Hd = H if mask_conv is None else np.multiply(H, mask_conv, out=H)
     Z, blocks = _propagate(params, g, Hd)
-    tape = {"Xd": Xd, "a1": a1, "h1": h1, "mask_conv": mask_conv,
-            "blocks": blocks}
+    tape = {"Xd": Xd, "h1": h1, "mask_conv": mask_conv, "blocks": blocks}
     return Z, tape
 
 
@@ -243,18 +252,23 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     # The operators are symmetric: dH is the same propagation run on dZ.
     dH, _ = _propagate(params, g, dZ)
     if tape["mask_conv"] is not None:
-        dH = dH * tape["mask_conv"]
+        dH *= tape["mask_conv"]
     grads = {"w2": tape["h1"].T @ dH, "b2": dH.sum(axis=0)}
-    da1 = (dH @ params.w2.T) * (tape["a1"] > 0.0)
+    # h1 = max(a1, 0), so h1 > 0 exactly where the ReLU passes.
+    da1 = dH @ params.w2.T
+    da1 *= tape["h1"] > 0.0
     grads["w1"] = tape["Xd"].T @ da1
     grads["b1"] = da1.sum(axis=0)
 
     na, nb = params.filter.alpha.size, params.filter.beta.size
-    dc = np.array([float(np.vdot(dZ, B)) for B in tape["blocks"][:na + nb]])
-    if na:
-        grads["alpha"] = dc[:na]
-    if nb:
-        grads["beta"] = dc[na:]
+    if na + nb:
+        t = np.array([float(np.vdot(dZ, B)) for B in tape["blocks"]])
+        W = _weight_map(params)
+        dc = t if W is None else W.T @ t
+        if na:
+            grads["alpha"] = dc[:na]
+        if nb:
+            grads["beta"] = dc[na:]
     return loss, grads
 
 

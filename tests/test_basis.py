@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from gscnet.basis import (BasisCache, FilterSpec, bernstein_blocks,
-                          build_basis_cache, gsc_combine, monomial_prop)
+from gscnet.basis import (FilterSpec, bernstein_blocks, build_basis_cache,
+                          gsc_combine, gsc_weights, monomial_prop)
 from gscnet.errors import InputError
 from gscnet.graph import build_csr, laplacian_apply, shifted_apply
+from gscnet.suite import unit_spec
 
 from conftest import (K2_EDGES, P3_EDGES, dense_gcn_norm_ref,
                       dense_laplacian_ref, dense_shifted_ref, er_edges)
@@ -33,24 +36,34 @@ class TestBasisCache:
         X = rng.normal(size=(2, 3))
         g = build_csr(K2_EDGES, 2)
         cache = build_basis_cache(g, X, 0, 0)
-        assert cache.p_blocks[0] is cache.q_blocks[0]
-        assert np.array_equal(cache.p_blocks[0], X)
-        assert cache.k1 == 0 and cache.k2 == 0
+        assert len(cache) == 1 and cache[0] is X
 
     def test_k2_first_shifted_block(self):
         g = build_csr(K2_EDGES, 2)
         cache = build_basis_cache(g, np.array([1.0, 0.0]), 1, 0)
-        assert np.allclose(cache.p_blocks[1], [1.0, 1.0])
+        assert np.allclose(gsc_combine(cache, unit_spec("shifted", 1)),
+                           [1.0, 1.0])
+
+    def test_krylov_length_is_max_degree(self, rng):
+        g = build_csr(K2_EDGES, 2)
+        X = rng.normal(size=(2, 2))
+        for k1, k2 in ((3, 1), (0, 4), (2, 2)):
+            cache = build_basis_cache(g, X, k1, k2)
+            assert len(cache) == max(k1, k2) + 1
+        # On K2, Â swaps the two nodes.
+        assert np.array_equal(cache[1], X[::-1])
 
     def test_blocks_match_dense_powers(self, rng):
         edges = er_edges(rng, 20, 0.3)
         g = build_csr(edges, 20)
         X = rng.normal(size=(20, 5))
-        cache = build_basis_cache(g, X, 4, 4)
+        K = 16
+        cache = build_basis_cache(g, X, K, K)
         S = dense_shifted_ref(edges, 20)
         L = dense_laplacian_ref(edges, 20)
-        for i in range(5):
-            for M, block in ((S, cache.p_blocks[i]), (L, cache.q_blocks[i])):
+        for i in range(K + 1):
+            for family, M in (("shifted", S), ("laplacian", L)):
+                block = gsc_combine(cache, unit_spec(family, i))
                 dense = matrix_power(M, i) @ X
                 rel = np.linalg.norm(block - dense) / max(np.linalg.norm(dense), 1e-30)
                 assert rel <= 1e-10
@@ -63,16 +76,41 @@ class TestBasisCache:
             X = rng.normal(size=(n, 2))
             cache = build_basis_cache(g, X, 6, 6)
             S = dense_shifted_ref(edges, n)
+            L = dense_laplacian_ref(edges, n)
             for i in range(7):
-                dense = matrix_power(S, i) @ X
-                rel = np.linalg.norm(cache.p_blocks[i] - dense) \
-                    / max(np.linalg.norm(dense), 1e-30)
-                assert rel <= 1e-10
+                for family, M in (("shifted", S), ("laplacian", L)):
+                    dense = matrix_power(M, i) @ X
+                    block = gsc_combine(cache, unit_spec(family, i))
+                    rel = np.linalg.norm(block - dense) \
+                        / max(np.linalg.norm(dense), 1e-30)
+                    assert rel <= 1e-10
 
     def test_negative_degree_rejected(self):
         g = build_csr(K2_EDGES, 2)
         with pytest.raises(InputError):
             build_basis_cache(g, np.zeros((2, 1)), -1, 0)
+
+
+class TestGscWeights:
+    def test_binomial_rows(self):
+        W = gsc_weights(2, 3)
+        # Columns: alpha_0..alpha_2, then beta_0..beta_3; rows: Â^0..Â^3.
+        assert W.tolist() == [[1, 1, 1, 1, 1, 1, 1],
+                              [0, 1, 2, 0, -1, -2, -3],
+                              [0, 0, 1, 0, 0, 1, 3],
+                              [0, 0, 0, 0, 0, 0, -1]]
+
+    def test_switched_off_family_has_no_column(self):
+        assert gsc_weights(-1, 2).shape == (3, 3)
+        assert gsc_weights(1, -1).shape == (2, 2)
+        assert gsc_weights(-1, -1).shape == (1, 0)
+
+    def test_degree_16_entries_are_exact_integers(self):
+        W = gsc_weights(16, 16)
+        assert W[8, 16] == math.comb(16, 8)
+        assert np.array_equal(W, np.round(W))
+        # (1 + 1)^16 and (1 - 1)^16: each column sums to 2^i or 0^j.
+        assert W[:, 16].sum() == 2 ** 16 and W[:, 33].sum() == 0
 
 
 class TestGscCombine:

@@ -295,6 +295,25 @@ class TestAnalyzeCommand:
                    "--out-dir", str(tmp_path / "runs")])
         assert rc == 3
 
+    @pytest.mark.parametrize("token,line", [("nan", 3), ("-inf", 4)])
+    def test_non_finite_feature_exits_3(self, tmp_path, capsys, token, line):
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+        # The blank second line carries no row: row 2 is on line 3 or 4.
+        rows = ["0.5,1.0", "", "0.25,2.0", "1.5,0.0"]
+        rows[line - 1] = f"1.0,{token}"
+        (tmp_path / "features.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "labels.txt").write_text("0\n1\n0\n")
+        cfg = {**TINY, "dataset": {
+            "kind": "files", "edges": str(tmp_path / "edges.txt"),
+            "features": str(tmp_path / "features.csv"),
+            "labels": str(tmp_path / "labels.txt")}}
+        rc = main(["train", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(tmp_path / "runs")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "NaN/Inf" in err
+        assert f"{tmp_path / 'features.csv'}:{line}" in err
+
 
 @pytest.mark.parametrize("command", ["csbm-gen", "analyze"])
 class TestDatasetCommands:

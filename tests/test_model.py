@@ -6,11 +6,11 @@ import pytest
 
 from gscnet.data import csbm_generate, CsbmParams, random_split
 from gscnet.errors import InputError
-from gscnet import graph
+from gscnet import graph, verify
 from gscnet.graph import build_csr, permute_graph
-from gscnet.model import (ARCHITECTURES, AdamState, TrainConfig, accuracy,
-                          adam_step, forward, init_params, loss_and_grad,
-                          predict, softmax_cross_entropy)
+from gscnet.model import (ARCHITECTURES, AdamState, TrainConfig, _propagate,
+                          accuracy, adam_step, forward, init_params,
+                          loss_and_grad, predict, softmax_cross_entropy)
 from gscnet.suite import _gradcheck_instance, random_connected_graph
 from gscnet.train import train_single
 from gscnet.basis import FilterSpec
@@ -224,6 +224,38 @@ class TestGradients:
         worst = _gradcheck_instance(rng, arch="GSCNet", k1=-1, k2=3)
         assert worst <= 1e-4
 
+    @pytest.mark.parametrize("k1,k2", [(3, 1), (1, 4), (-1, 3), (2, -1)])
+    def test_gscnet_coefficient_gradients_are_dense_block_products(
+            self, rng, k1, k2):
+        """alpha_i's gradient is <dZ, P_i H> and beta_j's is <dZ, Q_j H>,
+        with P_i = (2I-L)^i and Q_j = L^j built densely."""
+        n = 16
+        edges = connected_edges(rng, n)
+        g = build_csr(edges, n)
+        X = rng.normal(size=(n, 4))
+        labels = rng.integers(0, 3, size=n)
+        mask = rng.random(n) < 0.5
+        mask[0] = True
+        params = init_params("GSCNet", 4, 3, k1, k2, seed=1)
+        params.filter.alpha[:] = rng.normal(size=params.filter.alpha.shape)
+        params.filter.beta[:] = rng.normal(size=params.filter.beta.shape)
+        cfg = TrainConfig(dropout_conv=0.0, dropout_linear=0.0)
+        _, grads = loss_and_grad(params, g, X, labels, mask, cfg)
+
+        logits, _ = forward(params, g, X)
+        _, dZ = softmax_cross_entropy(logits, labels, mask)
+        H = mlp_eval(params, X)
+        S = dense_shifted_ref(edges, n)
+        L = dense_laplacian_ref(edges, n)
+        for name, M, k in (("alpha", S, k1), ("beta", L, k2)):
+            if k < 0:
+                assert name not in grads
+                continue
+            dense = [float(np.vdot(dZ, matrix_power(M, i) @ H))
+                     for i in range(k + 1)]
+            scale = max(np.abs(dense).max(), 1e-30)
+            assert np.abs(grads[name] - dense).max() <= 1e-10 * scale
+
     def test_wide_input_dropout_within_twice_the_features(self):
         # The input mask is built in its uniforms' buffer, which then
         # becomes Xd: one n x d float array, plus a bool array for the
@@ -239,10 +271,46 @@ class TestGradients:
         assert peak <= 2 * ds.features.nbytes
 
 
+class TestPropagationResponses:
+    """`_propagate`, the path training runs, against each architecture's
+    closed-form scalar response on the dense eigensystem: BernNet in L's
+    spectrum, GCN and JKNet in M's."""
+
+    @pytest.mark.parametrize("arch,K", [("GCN", 0), ("GCN", 4), ("JKNet", 1),
+                                        ("JKNet", 6), ("BernNet", 0),
+                                        ("BernNet", 5)])
+    def test_matches_spectral_response(self, rng, arch, K):
+        for _ in range(5):
+            n = int(rng.integers(4, 31))
+            g = random_connected_graph(rng, n)
+            X = rng.normal(size=(n, 3))
+            params = init_params(arch, 3, 3, K, 0, seed=0)
+            alpha = rng.normal(size=params.filter.alpha.shape)
+            params.filter.alpha[:] = alpha
+            if arch == "BernNet":
+                eig = verify.dense_eigensystem(g)
+
+                def h(lam):
+                    return sum(a * (2.0 - lam) ** k * lam ** (K - k)
+                               for k, a in enumerate(alpha))
+            else:
+                eig = verify.symmetric_eigensystem(verify.dense_gcn_norm(g))
+
+                def h(mu):
+                    if arch == "GCN":
+                        return mu ** K
+                    return sum(a * mu ** (k + 1) for k, a in enumerate(alpha))
+            Z, _ = _propagate(params, g, X)
+            oracle = verify.spectral_filter_oracle(eig, h, X)
+            rel = np.linalg.norm(Z - oracle) \
+                / max(np.linalg.norm(oracle), 1e-30)
+            assert rel <= 1e-8
+
+
 def applies_per_pass(arch, k1, k2):
     """Sparse applies one propagation pass costs."""
-    if arch == "GSCNet":
-        return max(k1, 0) + max(k2, 0)
+    if arch == "GSCNet":  # one Krylov sequence serves both families
+        return max(k1, k2, 0)
     if arch == "BernNet":  # shared L powers, then 2I-L k times for term k
         return k1 + k1 * (k1 + 1) // 2
     return k1  # GCN depth, JKNet degree
@@ -251,10 +319,13 @@ def applies_per_pass(arch, k1, k2):
 class TestSparseApplyCounts:
     @pytest.fixture
     def applies(self, monkeypatch):
-        """Counts every sparse apply, wherever gscnet imported it from."""
+        """Counts every public sparse apply of `gscnet.graph`, wherever
+        gscnet imported it from."""
         calls = []
-        for name in ("adjacency_apply", "laplacian_apply", "shifted_apply",
-                     "gcn_norm_apply"):
+        names = [name for name in vars(graph)
+                 if name.endswith("_apply") and not name.startswith("_")]
+        assert "normalized_apply" in names
+        for name in names:
             original = getattr(graph, name)
 
             def counted(g, X, _apply=original, _name=name):

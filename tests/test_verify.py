@@ -7,6 +7,7 @@ from gscnet import verify
 from gscnet.basis import FilterSpec, build_basis_cache, gsc_combine
 from gscnet.errors import InputError, SizeGuardError
 from gscnet.graph import build_csr
+from gscnet.suite import unit_spec
 from gscnet.verify import (dense_eigensystem, dense_laplacian,
                            dense_matrix_power, finite_difference_gradient,
                            polynomial_response, spectral_filter_oracle,
@@ -100,7 +101,8 @@ class TestDenseMatrixPower:
         g = build_csr(P3_EDGES, 3)
         M = dense_matrix_power(g, "shifted", 3)
         cache = build_basis_cache(g, np.eye(3), 3, 0)
-        assert np.abs(M - cache.p_blocks[3]).max() <= 1e-10
+        block = gsc_combine(cache, unit_spec("shifted", 3))
+        assert np.abs(M - block).max() <= 1e-10
 
     def test_unknown_tag_rejected(self):
         g = build_csr(K2_EDGES, 2)
