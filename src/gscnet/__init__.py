@@ -1,7 +1,7 @@
 """Sparse spectral graph-filter engine with decoupled positive/negative bases."""
 
 from .basis import FilterSpec, bernstein_blocks, build_basis_cache, \
-    combine, gsc_combine, gsc_weights, monomial_prop
+    combine, gsc_combine, gsc_weights
 from .data import CsbmParams, Dataset, Split, csbm_generate, csbm_params_for, \
     load_dataset, random_split, save_dataset
 from .graph import SparseGraph, adjacency_apply, build_csr, gcn_norm_apply, \

@@ -9,9 +9,9 @@ Z = sum_m gamma_m T_m with gamma = W (alpha, beta), where `gsc_weights`
 holds the binomial coefficients of both families. Blocks live at the
 n x d feature level, never as n x n operators: O(K * nnz * d) in total.
 
-The baselines' blocks come from here too (BernNet's Bernstein terms, the
-M powers of GCN and JKNet), and `combine` is the one weighted sum every
-model uses, forward and backward.
+The baselines' blocks come from here too (BernNet's Bernstein terms, and
+through `operator_powers` the M powers of GCN and JKNet), and `combine` is
+the one weighted sum every model uses, forward and backward.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graph import SparseGraph, gcn_norm_apply, laplacian_apply, \
-    normalized_apply, shifted_apply
+from .graph import SparseGraph, laplacian_apply, normalized_apply, \
+    shifted_apply
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,16 @@ def operator_powers(apply, g: SparseGraph, X, k: int) -> list:
     return blocks
 
 
-def build_basis_cache(g: SparseGraph, X, k1: int, k2: int) -> list:
-    """The Krylov blocks [X, Â X, ..., Â^K X] with K = max(k1, k2): every
-    block either family of degree (k1, k2) needs, in K sparse applies. The
+def build_basis_cache(g: SparseGraph, X, K: int) -> list:
+    """The Krylov blocks [X, Â X, ..., Â^K X], in K sparse applies: every
+    block either family of degrees (k1, k2) needs when K = max(k1, k2). The
     first block is X itself."""
-    if k1 < 0 or k2 < 0:
-        raise InputError(f"degrees must be non-negative, got ({k1}, {k2})")
+    if K < 0:
+        raise InputError(f"degree must be non-negative, got {K}")
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != g.n:
         raise InputError(f"feature rows {X.shape[0]} != node count {g.n}")
-    return operator_powers(normalized_apply, g, X, max(k1, k2))
+    return operator_powers(normalized_apply, g, X, K)
 
 
 def gsc_weights(k1: int, k2: int) -> np.ndarray:
@@ -129,11 +129,3 @@ def bernstein_blocks(g: SparseGraph, X, K: int) -> list:
                                  np.asarray(X, dtype=np.float64), K)
     return [operator_powers(shifted_apply, g, lap_powers[K - k], k)[-1]
             for k in range(K + 1)]
-
-
-def monomial_prop(g: SparseGraph, X, k: int) -> np.ndarray:
-    """k-step self-loop-normalized propagation; k = 0 is the identity."""
-    if k < 0:
-        raise InputError(f"step count must be non-negative, got {k}")
-    return operator_powers(gcn_norm_apply, g,
-                           np.asarray(X, dtype=np.float64), k)[-1]

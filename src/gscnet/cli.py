@@ -4,7 +4,8 @@ Subcommands: train, sweep, oversmooth, ablate, bench, csbm-gen, analyze,
 verify. Every artifact is JSON/CSV with a schema field; re-running a
 command overwrites outputs with identical bytes apart from wall times.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 verification failure.
+Exit codes: 0 success, 2 config error (or an output path that cannot be
+written), 3 data error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ def _parse_ints(text: str, what: str) -> list:
 
 def _load_config(args) -> ExperimentConfig:
     """The config file with the command-line overrides merged in, validated
-    once."""
+    once. The output directory is checked here too, before any work."""
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise ConfigError(f"--out-dir {args.out_dir!r} exists and is not a "
+                          "directory")
     obj = {}
     if args.config:
         try:
@@ -44,23 +48,20 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError("config must be a JSON object")
     if args.seed_list:
         obj = {**obj, "seeds": _parse_ints(args.seed_list, "--seed-list")}
-    if args.out_dir:
-        obj = {**obj, "out_dir": args.out_dir}
     if getattr(args, "threads", None) is not None:
         obj = {**obj, "threads": args.threads}
     return ExperimentConfig.from_json(obj)
 
 
-def _out_dir(config: ExperimentConfig) -> str:
-    out = config.out_dir or "runs"
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(args) -> str:
+    os.makedirs(args.out_dir, exist_ok=True)
+    return args.out_dir
 
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
     result = experiments.cmd_train(config)
-    out = _out_dir(config)
+    out = _out_dir(args)
     for record in result["records"]:
         experiments.write_records_jsonl(
             os.path.join(out, f"run_{record.seed}.jsonl"), record)
@@ -92,7 +93,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     k1s, k2s = _parse_range(args.k1_range), _parse_range(args.k2_range)
     table = experiments.cmd_sweep_degrees(config, k1s, k2s)
-    out = _out_dir(config)
+    out = _out_dir(args)
     experiments.write_with_environment(
         os.path.join(out, "sweep.json"), table, config)
     experiments.write_grid_csv(os.path.join(out, "sweep.csv"), table)
@@ -104,7 +105,7 @@ def _cmd_oversmooth(args) -> int:
     config = _load_config(args)
     depths = _parse_ints(args.depths, "--depths")
     table = experiments.cmd_oversmooth(config, depths)
-    out = _out_dir(config)
+    out = _out_dir(args)
     experiments.write_with_environment(
         os.path.join(out, "oversmooth.json"), table, config)
     experiments.write_depth_csv(os.path.join(out, "oversmooth.csv"), table)
@@ -116,7 +117,7 @@ def _cmd_oversmooth(args) -> int:
 def _cmd_ablate(args) -> int:
     config = _load_config(args)
     table = experiments.cmd_ablate_activations(config)
-    out = _out_dir(config)
+    out = _out_dir(args)
     experiments.write_with_environment(
         os.path.join(out, "ablate.json"), table, config)
     for variant, row in table["rows"].items():
@@ -127,7 +128,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_bench(args) -> int:
     config = experiments.bench_config(_load_config(args))
     report = experiments.cmd_bench(config, warmup=args.warmup)
-    out = _out_dir(config)
+    out = _out_dir(args)
     experiments.write_with_environment(os.path.join(out, "bench.json"),
                                        report, config)
     with open(os.path.join(out, "bench_epochs.csv"), "w",
@@ -144,7 +145,7 @@ def _cmd_csbm_gen(args) -> int:
     config = _load_config(args)
     params = experiments.csbm_params(config.dataset, config.seeds[0])
     ds = csbm_generate(params)
-    out = _out_dir(config)
+    out = _out_dir(args)
     save_dataset(ds, os.path.join(out, "edges.txt"),
                  os.path.join(out, "features.csv"),
                  os.path.join(out, "labels.txt"))
@@ -172,7 +173,7 @@ def _cmd_analyze(args) -> int:
         verdict = pnca.classify_graph_activation(pnca.transform(g, kind), g)
         report["activation"][kind] = {"label": verdict.label,
                                       "witness": verdict.witness}
-    experiments.write_json(os.path.join(_out_dir(config), "analyze.json"),
+    experiments.write_json(os.path.join(_out_dir(args), "analyze.json"),
                            report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -181,10 +182,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     report = suite.run_suite(seed=args.seed, quick=args.quick)
     text = json.dumps(report, indent=2, sort_keys=True)
+    print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
-    print(text)
     return 0 if report["passed"] else 4
 
 
@@ -197,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, threads=True):
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed-list", help="comma-separated seeds")
-        p.add_argument("--out-dir", help="output directory")
+        p.add_argument("--out-dir", default="runs",
+                       help="output directory (default: runs)")
         if threads:
             p.add_argument("--threads", type=int, help="worker threads")
 
@@ -255,7 +257,7 @@ def main(argv=None) -> int:
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GscnetError as exc:
+    except (GscnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from .basis import build_basis_cache
 from .data import (CsbmParams, Dataset, csbm_generate, csbm_params_for,
                    load_dataset, random_split)
 from .errors import ConfigError, InputError
-from .model import ARCHITECTURES, TrainConfig
+from .model import ARCHITECTURES, TrainConfig, _is_int, init_params
 from .train import RunRecord, train_single
 
 SCHEMA_VERSION = "gscnet-experiments/1"
@@ -79,15 +79,17 @@ class ExperimentConfig:
     k2: int = 2
     train: TrainConfig = field(default_factory=TrainConfig)
     seeds: list = field(default_factory=lambda: [0])
-    out_dir: str | None = None
     threads: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.dataset, dict):
+            raise ConfigError("a dataset spec must be a JSON object, got "
+                              f"{self.dataset!r}")
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if not self.seeds:
             raise ConfigError("seed list must not be empty")
-        if not all(isinstance(s, int) for s in self.seeds):
+        if not all(_is_int(s) for s in self.seeds):
             raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seed list contains duplicates")
@@ -252,8 +254,12 @@ def _fan_out(config: ExperimentConfig, jobs: list) -> list:
 
 def _run_cells(config: ExperimentConfig, cells) -> list:
     """Train every (arch, k1, k2) cell on every seed, one job per seed;
-    returns, per cell, its RunRecords in seed order."""
+    returns, per cell, its RunRecords in seed order. Each cell's model is
+    built once at width 1 first, so a bad degree fails before any dataset
+    is drawn."""
     cells = list(cells)
+    for arch, k1, k2 in cells:
+        init_params(arch, 1, 1, k1, k2, seed=0)
     source = _dataset_source(config.dataset)
     jobs = [(seed, functools.partial(_run_one_seed, config, source, seed,
                                      cells))
@@ -385,7 +391,7 @@ def measure_cache_build(ds: Dataset, degree_pairs, repeats: int = 5) -> list:
     for _ in range(repeats):
         for pair_times, (k1, k2) in zip(times, degree_pairs):
             t0 = time.perf_counter()
-            build_basis_cache(ds.graph, ds.features, k1, k2)
+            build_basis_cache(ds.graph, ds.features, max(k1, k2))
             pair_times.append(time.perf_counter() - t0)
     return [float(np.median(t)) for t in times]
 

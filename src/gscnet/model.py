@@ -9,9 +9,10 @@ Z = prop(H).
 
 One propagation path serves all four: `_blocks` names each architecture's
 basis blocks B_m(V), and prop(V) = sum_m (W c)_m B_m(V) with c = (alpha,
-beta), or c = [1] for GCN's one fixed block. W is the identity except for
-GSCNet, whose blocks are the Krylov sequence Â^m V, m <= max(k1, k2), and
-whose W holds the binomial coefficients of (I+Â)^i and (I-Â)^j. Every
+beta), or c = [1] for GCN's one fixed block. W is the identity matrix
+except for GSCNet, whose blocks are the Krylov sequence Â^m V,
+m <= max(k1, k2), and whose W holds the binomial coefficients of (I+Â)^i
+and (I-Â)^j. GCN's block is the last of the M powers JKNet sums. Every
 operator is symmetric, so the backward pass is the same path run on dZ,
 and the gradient of c is W^T t with t_m = <dZ, B_m(V)>. Dropout is
 applied at two sites: on the first stage's input (linear rate) and
@@ -25,12 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (FilterSpec, bernstein_blocks, build_basis_cache, combine,
-                    gsc_weights, monomial_prop, operator_powers)
+                    gsc_weights, operator_powers)
 from .errors import InputError
 from .graph import SparseGraph, gcn_norm_apply
 
 ARCHITECTURES = ("GSCNet", "GCN", "JKNet", "BernNet")
 HIDDEN_UNITS = 64
+
+
+def _is_int(value) -> bool:  # a bool is an int to Python, but not here
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -50,8 +55,11 @@ class TrainConfig:
         for p in (self.dropout_conv, self.dropout_linear):
             if not 0.0 <= p < 1.0:
                 raise InputError(f"dropout must be in [0, 1), got {p}")
-        if self.epochs < 0 or self.patience < 0:
-            raise InputError("epochs and patience must be non-negative")
+        if not (_is_int(self.epochs) and _is_int(self.patience)) \
+                or self.epochs < 0 or self.patience < 0:
+            raise InputError("epochs and patience must be non-negative "
+                             f"integers, got {self.epochs!r}, "
+                             f"{self.patience!r}")
 
 
 @dataclass
@@ -105,6 +113,8 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
     if arch not in ARCHITECTURES:
         raise InputError(f"unknown architecture {arch!r}; "
                          f"expected one of {ARCHITECTURES}")
+    if not (_is_int(k1) and _is_int(k2)):
+        raise InputError(f"degrees must be integers, got ({k1!r}, {k2!r})")
     rng = np.random.default_rng(seed)
     s1 = 1.0 / np.sqrt(d_in)
     s2 = 1.0 / np.sqrt(hidden)
@@ -136,12 +146,13 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
 
 def _blocks(params: ModelParams, g: SparseGraph, V: np.ndarray):
     """The architecture's basis blocks B_m(V), one per row of
-    `_weight_map(params)`, or per coefficient where that is the identity."""
+    `_weight_map(params)`. GCN and JKNet share one recurrence of M powers:
+    GCN keeps its last block, JKNet every block after V."""
     spec = params.filter
     if params.arch == "GSCNet":
-        return build_basis_cache(g, V, max(spec.k1, 0), max(spec.k2, 0))
+        return build_basis_cache(g, V, max(spec.k1, spec.k2, 0))
     if params.arch == "GCN":
-        return [monomial_prop(g, V, params.gcn_depth)]
+        return operator_powers(gcn_norm_apply, g, V, params.gcn_depth)[-1:]
     if params.arch == "JKNet":
         return operator_powers(gcn_norm_apply, g, V, spec.k1 + 1)[1:]
     return bernstein_blocks(g, V, spec.k1)
@@ -154,25 +165,25 @@ def _coefficients(params: ModelParams) -> np.ndarray:
     return c if c.size else np.ones(1)
 
 
-def _weight_map(params: ModelParams):
-    """W, which maps the coefficients c to the block weights W c; None
-    stands for the identity."""
+def _weight_map(params: ModelParams) -> np.ndarray:
+    """The matrix W that maps the coefficients c to the block weights W c:
+    GSCNet's binomial map, else the identity, whose products are exact."""
     if params.arch == "GSCNet":
         return gsc_weights(params.filter.k1, params.filter.k2)
-    return None
+    return np.eye(_coefficients(params).size)
 
 
 def _propagate(params: ModelParams, g: SparseGraph, V: np.ndarray):
     """(sum_m (W c)_m B_m(V), the blocks B_m(V))."""
     blocks = _blocks(params, g, V)
-    c, W = _coefficients(params), _weight_map(params)
-    return combine(blocks, c if W is None else W @ c), blocks
+    return combine(blocks, _weight_map(params) @ _coefficients(params)), blocks
 
 
-def forward(params: ModelParams, g: SparseGraph, X, mode: str = "eval",
-            rng=None, dropout_linear: float = 0.0, dropout_conv: float = 0.0):
+def forward(params: ModelParams, g: SparseGraph, X, rng=None,
+            dropout_linear: float = 0.0, dropout_conv: float = 0.0):
     """Run the model; returns (logits, tape) with the tape holding the
-    intermediates the backward pass needs. Eval mode ignores dropout.
+    intermediates the backward pass needs. Without dropout rates this is
+    the evaluation pass; a positive rate draws its mask from ``rng``.
 
     Order: drop_lin -> MLP -> drop_conv -> propagate.
     """
@@ -182,18 +193,14 @@ def forward(params: ModelParams, g: SparseGraph, X, mode: str = "eval",
     if X.shape[1] != params.d_in:
         raise InputError(
             f"feature width {X.shape[1]} != model input width {params.d_in}")
-    if mode not in ("train", "eval"):
-        raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
-
-    train = mode == "train"
 
     def drop_mask(shape, rate):
         # Inverted dropout: the mask is 0 or 1/(1-rate), so eval needs no
         # rescaling. It is built in the buffer of its uniforms.
-        if not train or rate <= 0.0:
+        if rate <= 0.0:
             return None
         if rng is None:
-            raise InputError("train mode with dropout needs an rng")
+            raise InputError("dropout needs an rng")
         u = rng.random(shape)
         return np.multiply(u >= rate, 1.0 / (1.0 - rate), out=u)
 
@@ -242,7 +249,7 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
 
     Weight decay is not included here; it enters as L2-on-gradient inside
     adam_step, so these gradients match finite differences of the loss."""
-    logits, tape = forward(params, g, X, mode="train", rng=rng,
+    logits, tape = forward(params, g, X, rng=rng,
                            dropout_linear=config.dropout_linear,
                            dropout_conv=config.dropout_conv)
     labels = np.asarray(labels)
@@ -263,8 +270,7 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     na, nb = params.filter.alpha.size, params.filter.beta.size
     if na + nb:
         t = np.array([float(np.vdot(dZ, B)) for B in tape["blocks"]])
-        W = _weight_map(params)
-        dc = t if W is None else W.T @ t
+        dc = _weight_map(params).T @ t
         if na:
             grads["alpha"] = dc[:na]
         if nb:

@@ -46,16 +46,10 @@ class ActivationClass:
 
     positive: bool
     witness: tuple | None = None
-    note: str = ""
 
     @property
     def label(self) -> str:
         return "Positive" if self.positive else "Negative"
-
-    def __str__(self):
-        if self.positive:
-            return "Positive"
-        return f"Negative (witness: {self.witness})"
 
 
 def classify_graph_activation(T, g: SparseGraph) -> ActivationClass:
@@ -115,9 +109,7 @@ def positive_combination_check(coeffs, g: SparseGraph) -> ActivationClass:
             f"coefficient {j} is negative ({coeffs[j]}); the non-negative "
             "combination hypothesis is broken")
     if not (coeffs > 0).any():
-        return ActivationClass(
-            False, (None, 0.0, "all coefficients zero"),
-            note="all coefficients zero")
+        return ActivationClass(False, (None, 0.0, "all coefficients zero"))
 
     if g.n > CLASSIFY_GUARD:
         raise SizeGuardError(

@@ -107,11 +107,13 @@ def _check_recurrence(rng, trials: int) -> dict:
         # Q_j is its unit filter over one Krylov cache, so this checks every
         # degree the sweeps train (0-6) as well.
         k = 16
-        cache = build_basis_cache(g, X, k, k)
+        cache = build_basis_cache(g, X, k)
+        operators = {"shifted": verify.dense_shifted(g),
+                     "laplacian": verify.dense_laplacian(g)}
         for i in range(k + 1):
-            for op in ("shifted", "laplacian"):
+            for op, M in operators.items():
                 block = gsc_combine(cache, unit_spec(op, i))
-                dense = verify.dense_matrix_power(g, op, i) @ X
+                dense = verify.dense_matrix_power(M, i) @ X
                 denom = max(float(np.linalg.norm(dense)), 1e-30)
                 worst = max(worst,
                             float(np.linalg.norm(block - dense)) / denom)

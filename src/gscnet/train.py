@@ -60,7 +60,7 @@ class RunRecord:
 
 
 def evaluate(params: ModelParams, ds: Dataset, split: Split) -> tuple[float, float]:
-    logits, _ = forward(params, ds.graph, ds.features, mode="eval")
+    logits, _ = forward(params, ds.graph, ds.features)
     return (accuracy(logits, ds.labels, split.val),
             accuracy(logits, ds.labels, split.test))
 

@@ -55,23 +55,13 @@ def dense_gcn_norm(g: SparseGraph) -> np.ndarray:
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
     return dinv[:, None] * A_hat * dinv[None, :]
 
-_OPERATORS = {
-    "shifted": dense_shifted,      # 2I - L
-    "laplacian": dense_laplacian,  # L
-    "gcn": dense_gcn_norm,         # D_hat^{-1/2} (A+I) D_hat^{-1/2}
-}
 
-
-def dense_matrix_power(g: SparseGraph, operator: str, k: int) -> np.ndarray:
-    """Exact repeated dense multiplication of one of the named operators."""
-    if operator not in _OPERATORS:
-        raise InputError(f"unknown operator tag {operator!r}; "
-                         f"expected one of {sorted(_OPERATORS)}")
+def dense_matrix_power(M: np.ndarray, k: int) -> np.ndarray:
+    """M^k by exact repeated dense multiplication, for a dense operator
+    from the builders above."""
     if k < 0:
         raise InputError(f"power must be non-negative, got {k}")
-    _guard(g.n)
-    M = _OPERATORS[operator](g)
-    out = np.eye(g.n)
+    out = np.eye(M.shape[0])
     for _ in range(k):
         out = out @ M
     return out

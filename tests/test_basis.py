@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from gscnet.basis import (FilterSpec, bernstein_blocks, build_basis_cache,
-                          gsc_combine, gsc_weights, monomial_prop)
+                          gsc_combine, gsc_weights)
 from gscnet.errors import InputError
 from gscnet.graph import build_csr, laplacian_apply, shifted_apply
 from gscnet.suite import unit_spec
 
-from conftest import (K2_EDGES, P3_EDGES, dense_gcn_norm_ref,
-                      dense_laplacian_ref, dense_shifted_ref, er_edges)
+from conftest import (K2_EDGES, P3_EDGES, dense_laplacian_ref,
+                      dense_shifted_ref, er_edges)
 
 
 def matrix_power(M, k):
@@ -35,21 +35,21 @@ class TestBasisCache:
     def test_degree_zero_cache_is_input(self, rng):
         X = rng.normal(size=(2, 3))
         g = build_csr(K2_EDGES, 2)
-        cache = build_basis_cache(g, X, 0, 0)
+        cache = build_basis_cache(g, X, 0)
         assert len(cache) == 1 and cache[0] is X
 
     def test_k2_first_shifted_block(self):
         g = build_csr(K2_EDGES, 2)
-        cache = build_basis_cache(g, np.array([1.0, 0.0]), 1, 0)
+        cache = build_basis_cache(g, np.array([1.0, 0.0]), 1)
         assert np.allclose(gsc_combine(cache, unit_spec("shifted", 1)),
                            [1.0, 1.0])
 
     def test_krylov_length_is_max_degree(self, rng):
         g = build_csr(K2_EDGES, 2)
         X = rng.normal(size=(2, 2))
-        for k1, k2 in ((3, 1), (0, 4), (2, 2)):
-            cache = build_basis_cache(g, X, k1, k2)
-            assert len(cache) == max(k1, k2) + 1
+        for K in (3, 0, 4, 2):
+            cache = build_basis_cache(g, X, K)
+            assert len(cache) == K + 1
         # On K2, Â swaps the two nodes.
         assert np.array_equal(cache[1], X[::-1])
 
@@ -58,7 +58,7 @@ class TestBasisCache:
         g = build_csr(edges, 20)
         X = rng.normal(size=(20, 5))
         K = 16
-        cache = build_basis_cache(g, X, K, K)
+        cache = build_basis_cache(g, X, K)
         S = dense_shifted_ref(edges, 20)
         L = dense_laplacian_ref(edges, 20)
         for i in range(K + 1):
@@ -74,7 +74,7 @@ class TestBasisCache:
             edges = er_edges(rng, n, 0.3)
             g = build_csr(edges, n)
             X = rng.normal(size=(n, 2))
-            cache = build_basis_cache(g, X, 6, 6)
+            cache = build_basis_cache(g, X, 6)
             S = dense_shifted_ref(edges, n)
             L = dense_laplacian_ref(edges, n)
             for i in range(7):
@@ -88,7 +88,7 @@ class TestBasisCache:
     def test_negative_degree_rejected(self):
         g = build_csr(K2_EDGES, 2)
         with pytest.raises(InputError):
-            build_basis_cache(g, np.zeros((2, 1)), -1, 0)
+            build_basis_cache(g, np.zeros((2, 1)), -1)
 
 
 class TestGscWeights:
@@ -117,27 +117,27 @@ class TestGscCombine:
     def test_identity_filter(self, rng):
         g = build_csr(K2_EDGES, 2)
         X = rng.normal(size=(2, 3))
-        cache = build_basis_cache(g, X, 0, 0)
+        cache = build_basis_cache(g, X, 0)
         Z = gsc_combine(cache, FilterSpec(alpha=[1.0]))
         assert np.array_equal(Z, X)
 
     def test_operators_cancel_to_3x(self):
         # I + (2I-L) + L = 3I
         g = build_csr(K2_EDGES, 2)
-        cache = build_basis_cache(g, np.array([1.0, 0.0]), 1, 1)
+        cache = build_basis_cache(g, np.array([1.0, 0.0]), 1)
         Z = gsc_combine(cache, FilterSpec(alpha=[1.0, 1.0], beta=[0.0, 1.0]))
         assert np.allclose(Z, [3.0, 0.0])
 
     def test_p3_cancellation(self):
         g = build_csr(P3_EDGES, 3)
         e1 = np.array([0.0, 1.0, 0.0])
-        cache = build_basis_cache(g, e1, 1, 1)
+        cache = build_basis_cache(g, e1, 1)
         Z = gsc_combine(cache, FilterSpec(alpha=[0.0, 1.0], beta=[0.0, 1.0]))
         assert np.allclose(Z, 2.0 * e1)
 
     def test_degree_mismatch_rejected(self):
         g = build_csr(K2_EDGES, 2)
-        cache = build_basis_cache(g, np.zeros((2, 1)), 1, 0)
+        cache = build_basis_cache(g, np.zeros((2, 1)), 1)
         with pytest.raises(InputError):
             gsc_combine(cache, FilterSpec(alpha=[1.0, 1.0, 1.0]))
 
@@ -145,7 +145,7 @@ class TestGscCombine:
         n = 15
         g = build_csr(er_edges(rng, n, 0.3), n)
         X = rng.normal(size=(n, 3))
-        cache = build_basis_cache(g, X, 3, 3)
+        cache = build_basis_cache(g, X, 3)
         a1, b1 = rng.normal(size=4), rng.normal(size=4)
         a2, b2 = rng.normal(size=4), rng.normal(size=4)
         s, t = 1.3, -0.7
@@ -157,7 +157,7 @@ class TestGscCombine:
     def test_empty_family_supported(self, rng):
         g = build_csr(K2_EDGES, 2)
         X = rng.normal(size=(2, 2))
-        cache = build_basis_cache(g, X, 0, 2)
+        cache = build_basis_cache(g, X, 2)
         Z = gsc_combine(cache, FilterSpec(beta=[1.0, 0.5, 0.25]))
         expected = X + 0.5 * laplacian_apply(g, X) \
             + 0.25 * laplacian_apply(g, laplacian_apply(g, X))
@@ -193,25 +193,3 @@ class TestBernsteinTerm:
         g = build_csr(K2_EDGES, 2)
         with pytest.raises(InputError):
             bernstein_blocks(g, np.zeros((2, 1)), -1)
-
-
-class TestMonomialProp:
-    def test_zero_steps_identity(self, rng):
-        g = build_csr(K2_EDGES, 2)
-        X = rng.normal(size=(2, 2))
-        assert np.array_equal(monomial_prop(g, X, 0), X)
-
-    def test_constant_preserved_on_k2(self):
-        g = build_csr(K2_EDGES, 2)
-        assert np.allclose(monomial_prop(g, np.array([1.0, 1.0]), 1),
-                           [1.0, 1.0])
-
-    def test_matches_dense_power(self, rng):
-        edges = er_edges(rng, 12, 0.4)
-        g = build_csr(edges, 12)
-        x = rng.normal(size=12)
-        M = dense_gcn_norm_ref(edges, 12)
-        dense = matrix_power(M, 3) @ x
-        rel = np.linalg.norm(monomial_prop(g, x, 3) - dense) \
-            / max(np.linalg.norm(dense), 1e-30)
-        assert rel <= 1e-10

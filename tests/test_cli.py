@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gscnet import experiments
+from gscnet import experiments, suite
 from gscnet.cli import build_parser, main
 from gscnet.data import csbm_params_for
 from gscnet.experiments import ExperimentConfig, make_dataset
@@ -22,6 +22,14 @@ def write_config(tmp_path, obj=TINY):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fails the test if a command draws a CSBM."""
+    def draw(*args):
+        raise AssertionError("a dataset was drawn")
+    monkeypatch.setattr(experiments, "csbm_generate", draw)
 
 
 def assert_environment(artifact, workers):
@@ -101,6 +109,41 @@ class TestTrainCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"dataset": "cora"},
+        {"k1": "2"},
+        {"k2": 1.5},
+        {"arch": "GCN", "k1": 2.5},
+        {"train": {**TINY["train"], "epochs": 2.5}},
+        {"train": {**TINY["train"], "patience": True}},
+        {"arch": "JKNet", "k1": 0},
+    ], ids=["dataset-string", "k1-string", "k2-float", "gcn-depth-float",
+            "epochs-float", "patience-bool", "jknet-degree-0"])
+    def test_mistyped_value_exits_2_before_any_draw(
+            self, tmp_path, capsys, no_draw, override):
+        out = tmp_path / "runs"
+        assert main(["train", "--config",
+                     write_config(tmp_path, {**TINY, **override}),
+                     "--out-dir", str(out), "--threads", "2"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_dir_that_is_a_file_exits_2_before_training(
+            self, tmp_path, capsys, no_draw):
+        out = tmp_path / "runs"
+        out.write_text("not a directory\n")
+        assert main(["train", "--config", write_config(tmp_path),
+                     "--out-dir", str(out)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+
+    def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
+        # The directory cannot be made, because its parent is a file.
+        (tmp_path / "file").write_text("")
+        assert main(["train", "--config", write_config(tmp_path),
+                     "--out-dir", str(tmp_path / "file" / "runs")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_train_seed_exits_2(self, tmp_path):
         cfg = {**TINY, "train": {**TINY["train"], "seed": 7}}
@@ -322,6 +365,14 @@ class TestDatasetCommands:
         assert set(args) == {"command", "fn", "config", "seed_list",
                              "out_dir"}
 
+    def test_non_object_dataset_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "runs"
+        assert main([command, "--config",
+                     write_config(tmp_path, {"dataset": "cora"}),
+                     "--out-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_csbm_key_exits_2(self, tmp_path, capsys, command):
         cfg = {"dataset": {**TINY["dataset"], "bogus": 1}}
         out = tmp_path / "runs"
@@ -332,6 +383,16 @@ class TestDatasetCommands:
 
 
 class TestVerifyCommand:
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys,
+                                              monkeypatch):
+        report = {"schema": "gscnet-verify/1", "passed": True, "checks": []}
+        monkeypatch.setattr(suite, "run_suite", lambda seed, quick: report)
+        out = tmp_path / "missing" / "verify.json"
+        assert main(["verify", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == report
+        assert "error:" in captured.err and not out.exists()
+
     def test_quick_suite_passes(self, tmp_path):
         out = tmp_path / "verify.json"
         rc = main(["verify", "--quick", "--out", str(out)])

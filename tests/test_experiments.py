@@ -55,6 +55,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json({"archh": "GSCNet"})
 
+    def test_out_dir_key_rejected(self):
+        # The output directory is set by --out-dir only.
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json({"out_dir": "runs"})
+
     def test_bad_arch_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json({"arch": "GAT"})
@@ -65,7 +70,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="train.seed"):
             ExperimentConfig.from_json({"train": {"seed": 7}})
 
-    @pytest.mark.parametrize("seeds", [["a"], [1.5], [0, None]])
+    @pytest.mark.parametrize("seeds", [["a"], [1.5], [0, None], [True]])
     def test_non_integer_seed_rejected(self, seeds):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json({"seeds": seeds})

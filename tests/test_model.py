@@ -13,7 +13,7 @@ from gscnet.model import (ARCHITECTURES, AdamState, TrainConfig, _propagate,
                           loss_and_grad, predict, softmax_cross_entropy)
 from gscnet.suite import _gradcheck_instance, random_connected_graph
 from gscnet.train import train_single
-from gscnet.basis import FilterSpec
+from gscnet.basis import combine, operator_powers
 
 from conftest import (K2_EDGES, connected_edges, dense_gcn_norm_ref,
                       dense_laplacian_ref, dense_shifted_ref, er_edges,
@@ -103,11 +103,9 @@ class TestForward:
         a, _ = forward(params, g, X)
         b, _ = forward(params, g, X)
         assert np.array_equal(a, b)
-        t1, _ = forward(params, g, X, mode="train",
-                        rng=np.random.default_rng(5),
+        t1, _ = forward(params, g, X, rng=np.random.default_rng(5),
                         dropout_linear=0.3, dropout_conv=0.3)
-        t2, _ = forward(params, g, X, mode="train",
-                        rng=np.random.default_rng(5),
+        t2, _ = forward(params, g, X, rng=np.random.default_rng(5),
                         dropout_linear=0.3, dropout_conv=0.3)
         assert np.array_equal(t1, t2)
 
@@ -119,7 +117,7 @@ class TestForward:
         params = init_params("GSCNet", d, d_out, 2, 1, seed=0)
         gen = np.random.default_rng(11)
         ref = copy.deepcopy(gen)
-        _, tape = forward(params, g, X, mode="train", rng=gen,
+        _, tape = forward(params, g, X, rng=gen,
                           dropout_linear=rate_lin, dropout_conv=rate_conv)
         mask_lin = (ref.random((n, d)) >= rate_lin).astype(np.float64) \
             / (1 - rate_lin)
@@ -130,6 +128,12 @@ class TestForward:
         assert tape["mask_conv"].tobytes() == mask_conv.tobytes()
         assert X.tobytes() == X_before.tobytes()
         assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_dropout_needs_rng(self, rng):
+        g = build_csr(K2_EDGES, 2)
+        params = init_params("GSCNet", 4, 2, 1, 1, seed=0)
+        with pytest.raises(InputError, match="rng"):
+            forward(params, g, rng.normal(size=(2, 4)), dropout_conv=0.1)
 
     def test_width_mismatch_rejected(self, rng):
         g = build_csr(K2_EDGES, 2)
@@ -305,6 +309,47 @@ class TestPropagationResponses:
             rel = np.linalg.norm(Z - oracle) \
                 / max(np.linalg.norm(oracle), 1e-30)
             assert rel <= 1e-8
+
+
+def gcn_propagate(g, X, depth):
+    """GCN's propagation M^depth X, as training runs it."""
+    return _propagate(init_params("GCN", 1, 1, depth, 0, seed=0), g, X)[0]
+
+
+class TestGcnPropagation:
+    def test_zero_steps_identity(self, rng):
+        g = build_csr(K2_EDGES, 2)
+        X = rng.normal(size=(2, 2))
+        assert np.array_equal(gcn_propagate(g, X, 0), X)
+
+    def test_constant_preserved_on_k2(self):
+        g = build_csr(K2_EDGES, 2)
+        assert np.allclose(gcn_propagate(g, np.array([1.0, 1.0]), 1),
+                           [1.0, 1.0])
+
+    def test_matches_dense_power(self, rng):
+        edges = er_edges(rng, 12, 0.4)
+        g = build_csr(edges, 12)
+        x = rng.normal(size=12)
+        M = dense_gcn_norm_ref(edges, 12)
+        dense = matrix_power(M, 3) @ x
+        rel = np.linalg.norm(gcn_propagate(g, x, 3) - dense) \
+            / max(np.linalg.norm(dense), 1e-30)
+        assert rel <= 1e-10
+
+    def test_gcn_and_jknet_share_one_recurrence(self, rng):
+        """GCN's output is the last M power and JKNet's the weighted sum of
+        the powers after V, bit for bit: the identity W changes nothing."""
+        n, K = 15, 4
+        g = build_csr(connected_edges(rng, n), n)
+        X = rng.normal(size=(n, 3))
+        powers = operator_powers(graph.gcn_norm_apply, g, X, K)
+        assert gcn_propagate(g, X, K).tobytes() == powers[-1].tobytes()
+        params = init_params("JKNet", 1, 1, K, 0, seed=0)
+        params.filter.alpha[:] = rng.normal(size=K)
+        Z, _ = _propagate(params, g, X)
+        assert Z.tobytes() == \
+            combine(powers[1:], params.filter.alpha).tobytes()
 
 
 def applies_per_pass(arch, k1, k2):

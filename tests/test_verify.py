@@ -9,9 +9,9 @@ from gscnet.errors import InputError, SizeGuardError
 from gscnet.graph import build_csr
 from gscnet.suite import unit_spec
 from gscnet.verify import (dense_eigensystem, dense_laplacian,
-                           dense_matrix_power, finite_difference_gradient,
-                           polynomial_response, spectral_filter_oracle,
-                           symmetric_eigensystem)
+                           dense_matrix_power, dense_shifted,
+                           finite_difference_gradient, polynomial_response,
+                           spectral_filter_oracle, symmetric_eigensystem)
 
 from conftest import K2_EDGES, P3_EDGES, TRIANGLE_EDGES, er_edges
 
@@ -80,7 +80,7 @@ class TestSpectralFilterOracle:
         eig = dense_eigensystem(g)
         spec = FilterSpec(alpha=rng.normal(size=4), beta=rng.normal(size=3))
         x = rng.normal(size=n)
-        sparse = gsc_combine(build_basis_cache(g, x, 3, 2), spec)
+        sparse = gsc_combine(build_basis_cache(g, x, 3), spec)
         oracle = spectral_filter_oracle(
             eig, polynomial_response(spec.alpha, spec.beta), x)
         rel = np.linalg.norm(sparse - oracle) / max(np.linalg.norm(oracle), 1e-30)
@@ -90,24 +90,20 @@ class TestSpectralFilterOracle:
 class TestDenseMatrixPower:
     def test_zeroth_power_is_identity(self):
         g = build_csr(P3_EDGES, 3)
-        assert np.array_equal(dense_matrix_power(g, "laplacian", 0), np.eye(3))
+        assert np.array_equal(dense_matrix_power(dense_laplacian(g), 0),
+                              np.eye(3))
 
     def test_shifted_on_k2(self):
         g = build_csr(K2_EDGES, 2)
-        assert np.allclose(dense_matrix_power(g, "shifted", 1),
+        assert np.allclose(dense_matrix_power(dense_shifted(g), 1),
                            [[1.0, 1.0], [1.0, 1.0]])
 
     def test_cross_check_with_cache(self):
         g = build_csr(P3_EDGES, 3)
-        M = dense_matrix_power(g, "shifted", 3)
-        cache = build_basis_cache(g, np.eye(3), 3, 0)
+        M = dense_matrix_power(dense_shifted(g), 3)
+        cache = build_basis_cache(g, np.eye(3), 3)
         block = gsc_combine(cache, unit_spec("shifted", 3))
         assert np.abs(M - block).max() <= 1e-10
-
-    def test_unknown_tag_rejected(self):
-        g = build_csr(K2_EDGES, 2)
-        with pytest.raises(InputError):
-            dense_matrix_power(g, "resolvent", 1)
 
 
 class TestFiniteDifference:
