@@ -31,9 +31,13 @@ def _parse_ints(text: str, what: str) -> list:
 
 def _load_config(args) -> ExperimentConfig:
     """The config file with the command-line overrides merged in, validated
-    once. The output directory is checked here too, before any work."""
-    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
-        raise ConfigError(f"--out-dir {args.out_dir!r} exists and is not a "
+    once. The output directory is checked here too, before any work: its
+    nearest existing ancestor (or itself) must be a directory."""
+    nearest = os.path.abspath(args.out_dir)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise ConfigError(f"--out-dir {args.out_dir!r}: {nearest!r} is not a "
                           "directory")
     obj = {}
     if args.config:
@@ -46,8 +50,6 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-    if args.seed_list:
-        obj = {**obj, "seeds": _parse_ints(args.seed_list, "--seed-list")}
     if getattr(args, "threads", None) is not None:
         obj = {**obj, "threads": args.threads}
     return ExperimentConfig.from_json(obj)
@@ -180,6 +182,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # A bad --out is found before the suite runs, not after it.
+    if args.out and not os.path.isdir(os.path.dirname(
+            os.path.abspath(args.out))):
+        raise ConfigError(f"--out {args.out!r}: its directory does not exist")
     report = suite.run_suite(seed=args.seed, quick=args.quick)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
@@ -197,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, threads=True):
         p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--seed-list", help="comma-separated seeds")
         p.add_argument("--out-dir", default="runs",
                        help="output directory (default: runs)")
         if threads:

@@ -76,13 +76,12 @@ class Split:
             raise InputError("split masks must be disjoint and cover all nodes")
 
 
-def random_split(n: int, ratios=(0.6, 0.2, 0.2), seed=0) -> Split:
-    """Shuffled split; val/test get floor(ratio*n), the remainder trains."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise InputError(f"split ratios must sum to 1, got {ratios}")
-    # Nudge before floor so exact products like 0.6*55 = 32.999... round up.
-    n_val = int(math.floor(ratios[1] * n + 1e-9))
-    n_test = int(math.floor(ratios[2] * n + 1e-9))
+def random_split(n: int, seed=0) -> Split:
+    """Shuffled 60/20/20 split; val and test get floor(0.2 n) nodes each,
+    the remainder trains."""
+    # Nudge before floor so a product that rounds just below an integer
+    # still counts as that integer.
+    n_val = n_test = int(math.floor(0.2 * n + 1e-9))
     n_train = n - n_val - n_test
     order = np.random.default_rng(seed).permutation(n)
     train = np.zeros(n, dtype=bool)

@@ -93,8 +93,9 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seed list contains duplicates")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if not _is_int(self.threads) or self.threads < 1:
+            raise ConfigError(f"threads must be an integer >= 1, got "
+                              f"{self.threads!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":

@@ -40,8 +40,7 @@ class SparseGraph:
     A has unit weights, int64 indices, column indices sorted within each
     row and no duplicates; edge (u, v) is stored in both rows (a self-loop
     is stored once). Its arrays are read-only. ``degrees[i]`` equals the
-    number of stored neighbors of node i, as a float so degree-modifying
-    variants stay representable.
+    number of stored neighbors of node i, as a float.
     """
 
     adjacency: scipy.sparse.csr_array

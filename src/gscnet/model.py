@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (FilterSpec, bernstein_blocks, build_basis_cache, combine,
-                    gsc_weights, operator_powers)
+from .basis import (bernstein_blocks, build_basis_cache, combine, gsc_weights,
+                    operator_powers)
 from .errors import InputError
 from .graph import SparseGraph, gcn_norm_apply
 
@@ -64,21 +64,22 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """Trainable state: MLP weights plus the filter coefficients.
-
-    ``filter`` stores the trainable propagation coefficients; their meaning
-    is architecture-dependent (see module docstring). GCN has none, and its
-    fixed propagation depth lives in ``gcn_depth``. For JKNet, alpha[k-1]
-    multiplies M^k (there is no k = 0 term).
+    """Trainable state: MLP weights plus the propagation coefficients
+    ``alpha`` and ``beta``, with the degrees ``k1``/``k2`` as `init_params`
+    was given them. The coefficients' meaning is architecture-dependent (see
+    module docstring): GCN has none, and for JKNet alpha[k-1] multiplies M^k
+    (there is no k = 0 term).
     """
 
     arch: str
+    k1: int
+    k2: int
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    filter: FilterSpec
-    gcn_depth: int = 0
+    alpha: np.ndarray
+    beta: np.ndarray
 
     @property
     def d_in(self) -> int:
@@ -86,18 +87,11 @@ class ModelParams:
 
     def trainable(self) -> dict:
         groups = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-        if self.filter.alpha.size:
-            groups["alpha"] = self.filter.alpha
-        if self.filter.beta.size:
-            groups["beta"] = self.filter.beta
+        if self.alpha.size:
+            groups["alpha"] = self.alpha
+        if self.beta.size:
+            groups["beta"] = self.beta
         return groups
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            arch=self.arch, w1=self.w1.copy(), b1=self.b1.copy(),
-            w2=self.w2.copy(), b2=self.b2.copy(),
-            filter=FilterSpec(self.filter.alpha.copy(), self.filter.beta.copy()),
-            gcn_depth=self.gcn_depth)
 
 
 def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
@@ -121,47 +115,46 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
     w1 = rng.uniform(-s1, s1, size=(d_in, hidden))
     w2 = rng.uniform(-s2, s2, size=(hidden, d_out))
 
-    gcn_depth = 0
     if arch == "GSCNet":
         if k1 < -1 or k2 < -1 or (k1 < 0 and k2 < 0):
             raise InputError(f"GSCNet needs at least one family, got ({k1}, {k2})")
-        spec = FilterSpec(alpha=np.ones(k1 + 1), beta=np.ones(k2 + 1))
+        alpha, beta = np.ones(k1 + 1), np.ones(k2 + 1)
     elif arch == "GCN":
         if k1 < 0:
             raise InputError(f"GCN depth must be >= 0, got {k1}")
-        spec = FilterSpec()
-        gcn_depth = k1
+        alpha, beta = np.zeros(0), np.zeros(0)
     elif arch == "JKNet":
         if k1 < 1:
             raise InputError(f"JKNet degree must be >= 1, got {k1}")
-        spec = FilterSpec(alpha=np.ones(k1))
+        alpha, beta = np.ones(k1), np.zeros(0)
     else:  # BernNet
         if k1 < 0:
             raise InputError(f"BernNet degree must be >= 0, got {k1}")
-        spec = FilterSpec(alpha=np.ones(k1 + 1))
+        alpha, beta = np.ones(k1 + 1), np.zeros(0)
 
-    return ModelParams(arch=arch, w1=w1, b1=np.zeros(hidden), w2=w2,
-                       b2=np.zeros(d_out), filter=spec, gcn_depth=gcn_depth)
+    return ModelParams(arch=arch, k1=k1, k2=k2, w1=w1, b1=np.zeros(hidden),
+                       w2=w2, b2=np.zeros(d_out), alpha=alpha, beta=beta)
 
 
 def _blocks(params: ModelParams, g: SparseGraph, V: np.ndarray):
     """The architecture's basis blocks B_m(V), one per row of
-    `_weight_map(params)`. GCN and JKNet share one recurrence of M powers:
-    GCN keeps its last block, JKNet every block after V."""
-    spec = params.filter
+    `_weight_map(params)`, read off the degrees: GSCNet's Krylov sequence
+    to max(k1, k2), BernNet's k1 + 1 Bernstein terms, and for GCN and JKNet
+    one recurrence of k1 M powers, of which GCN keeps the last block and
+    JKNet every block after V."""
+    k1, k2 = params.k1, params.k2
     if params.arch == "GSCNet":
-        return build_basis_cache(g, V, max(spec.k1, spec.k2, 0))
-    if params.arch == "GCN":
-        return operator_powers(gcn_norm_apply, g, V, params.gcn_depth)[-1:]
-    if params.arch == "JKNet":
-        return operator_powers(gcn_norm_apply, g, V, spec.k1 + 1)[1:]
-    return bernstein_blocks(g, V, spec.k1)
+        return build_basis_cache(g, V, max(k1, k2, 0))
+    if params.arch == "BernNet":
+        return bernstein_blocks(g, V, k1)
+    powers = operator_powers(gcn_norm_apply, g, V, k1)
+    return powers[-1:] if params.arch == "GCN" else powers[1:]
 
 
 def _coefficients(params: ModelParams) -> np.ndarray:
     """c = (alpha, beta); GCN trains no coefficient and weights its one
     block by 1."""
-    c = np.concatenate([params.filter.alpha, params.filter.beta])
+    c = np.concatenate([params.alpha, params.beta])
     return c if c.size else np.ones(1)
 
 
@@ -169,7 +162,7 @@ def _weight_map(params: ModelParams) -> np.ndarray:
     """The matrix W that maps the coefficients c to the block weights W c:
     GSCNet's binomial map, else the identity, whose products are exact."""
     if params.arch == "GSCNet":
-        return gsc_weights(params.filter.k1, params.filter.k2)
+        return gsc_weights(params.k1, params.k2)
     return np.eye(_coefficients(params).size)
 
 
@@ -267,7 +260,7 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     grads["w1"] = tape["Xd"].T @ da1
     grads["b1"] = da1.sum(axis=0)
 
-    na, nb = params.filter.alpha.size, params.filter.beta.size
+    na, nb = params.alpha.size, params.beta.size
     if na + nb:
         t = np.array([float(np.vdot(dZ, B)) for B in tape["blocks"]])
         dc = _weight_map(params).T @ t

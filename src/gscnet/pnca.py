@@ -3,10 +3,13 @@
 A feature transformation T X is a positive k-step activation when T is
 non-negative everywhere and strictly positive on every edge and self-loop;
 anything else is negative. The verdict is read from the sparse pattern of
-A + I, so it costs O(nnz) at any graph size. Label smoothness and the
-Rayleigh quotient quantify, respectively, how heterophilous a labeling is
-and how rough a signal is; together they give testable surrogates for the
-claim that the shifted operator 2I - L acts low-pass and L acts high-pass.
+A + I, so it costs O(nnz) at any graph size; only the check of a
+non-negative combination of powers of 2I - L builds its matrix densely,
+with the dense oracle's builders and under their n <= 500 guard. Label
+smoothness and the Rayleigh quotient quantify, respectively, how
+heterophilous a labeling is and how rough a signal is; together they give
+testable surrogates for the claim that the shifted operator 2I - L acts
+low-pass and L acts high-pass.
 """
 
 from __future__ import annotations
@@ -16,13 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import (ContractViolationError, DegenerateInputError, InputError,
-                     SizeGuardError)
+from . import verify
+from .errors import ContractViolationError, DegenerateInputError, InputError
 from .graph import SparseGraph, laplacian_apply
-
-# positive_combination_check expands dense powers of 2I - L, which fill in;
-# it is a desk-scale verification tool, not a production path.
-CLASSIFY_GUARD = 2000
 
 
 def transform(g: SparseGraph, kind: str) -> scipy.sparse.csr_array:
@@ -93,12 +92,14 @@ def classify_graph_activation(T, g: SparseGraph) -> ActivationClass:
 
 
 def positive_combination_check(coeffs, g: SparseGraph) -> ActivationClass:
-    """Classify sum_j coeffs[j] * (2I - L)^j by dense expansion, guarded at
-    n <= CLASSIFY_GUARD because the powers fill in.
+    """Classify sum_j coeffs[j] * (2I - L)^j, expanded with the dense
+    oracle's builders and so guarded, like them, at n <= DENSE_GUARD.
 
     All coefficients must be >= 0 (the non-negative-combination hypothesis);
     on a connected graph with coeffs[0] > 0 and coeffs[1] > 0 the verdict is
-    Positive.
+    Positive. Every power of 2I - L = I + Â is entrywise non-negative, so
+    the verdict depends only on which entries are positive, and a Negative
+    verdict's witness is an exact zero.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size == 0:
@@ -111,17 +112,9 @@ def positive_combination_check(coeffs, g: SparseGraph) -> ActivationClass:
     if not (coeffs > 0).any():
         return ActivationClass(False, (None, 0.0, "all coefficients zero"))
 
-    if g.n > CLASSIFY_GUARD:
-        raise SizeGuardError(
-            f"positive combination check expands dense powers and is "
-            f"guarded at n <= {CLASSIFY_GUARD}, got n = {g.n}")
-    S = transform(g, "shifted")
-    total = np.zeros((g.n, g.n))
-    power = np.eye(g.n)
-    for j, c in enumerate(coeffs):
-        if j > 0:
-            power = S @ power
-        total += c * power
+    S = verify.dense_shifted(g)
+    total = sum(c * verify.dense_matrix_power(S, j)
+                for j, c in enumerate(coeffs))
     return classify_graph_activation(total, g)
 
 

@@ -47,7 +47,8 @@ def gscnet_filter(g: SparseGraph, X, spec: FilterSpec) -> np.ndarray:
     """The filter Z as training computes it: GSCNet's propagation with the
     coefficients of ``spec``."""
     params = init_params("GSCNet", 1, 1, spec.k1, spec.k2, seed=0)
-    return _propagate(dataclasses.replace(params, filter=spec), g, X)[0]
+    params = dataclasses.replace(params, alpha=spec.alpha, beta=spec.beta)
+    return _propagate(params, g, X)[0]
 
 
 def _check_eigensystem(rng, trials: int) -> dict:
@@ -189,10 +190,10 @@ def _gradcheck_instance(rng, arch: str = "GSCNet", n: int = 10, d: int = 4,
         if np.abs(X @ params.w1 + params.b1).min() > margin:
             break
     # Break the all-ones symmetry of the filter coefficients.
-    if params.filter.alpha.size:
-        params.filter.alpha[:] += 0.1 * rng.normal(size=params.filter.alpha.shape)
-    if params.filter.beta.size:
-        params.filter.beta[:] += 0.1 * rng.normal(size=params.filter.beta.shape)
+    if params.alpha.size:
+        params.alpha[:] += 0.1 * rng.normal(size=params.alpha.shape)
+    if params.beta.size:
+        params.beta[:] += 0.1 * rng.normal(size=params.beta.shape)
     cfg = TrainConfig(dropout_conv=0.0, dropout_linear=0.0, weight_decay=0.0)
 
     _, analytic = loss_and_grad(params, g, X, labels, mask, cfg)

@@ -82,7 +82,7 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
     best_val = -1.0
     best_test = 0.0
     best_epoch = -1
-    best_filter = (params.filter.alpha.copy(), params.filter.beta.copy())
+    best_filter = (params.alpha.copy(), params.beta.copy())
     since_improve = 0
     t_start = time.perf_counter()
 
@@ -103,8 +103,7 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
         record.epochs.append(EpochStats(epoch, loss, val_acc, test_acc, ms))
         if val_acc > best_val:
             best_val, best_test, best_epoch = val_acc, test_acc, epoch
-            best_filter = (params.filter.alpha.copy(),
-                           params.filter.beta.copy())
+            best_filter = (params.alpha.copy(), params.beta.copy())
             since_improve = 0
         else:
             since_improve += 1

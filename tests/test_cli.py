@@ -71,10 +71,11 @@ class TestTrainCommand:
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s1 == s2
 
-    def test_seed_list_override(self, tmp_path):
+    def test_config_seeds_name_the_runs(self, tmp_path):
         out = tmp_path / "runs"
-        rc = main(["train", "--config", write_config(tmp_path),
-                   "--seed-list", "5", "--out-dir", str(out)])
+        rc = main(["train", "--config",
+                   write_config(tmp_path, {**TINY, "seeds": [5]}),
+                   "--out-dir", str(out)])
         assert rc == 0
         assert (out / "run_5.jsonl").exists()
         assert not (out / "run_0.jsonl").exists()
@@ -89,8 +90,7 @@ class TestTrainCommand:
                      write_config(tmp_path, {**TINY, "arch": "GAT"})]) == 2
 
     @pytest.mark.parametrize("flags", [["--threads", "-1"],
-                                       ["--threads", "0"],
-                                       ["--seed-list", "a"]])
+                                       ["--threads", "0"]])
     def test_bad_override_exits_2(self, tmp_path, capsys, flags):
         out = tmp_path / "runs"
         assert main(["train", "--config", write_config(tmp_path),
@@ -118,14 +118,19 @@ class TestTrainCommand:
         {"train": {**TINY["train"], "epochs": 2.5}},
         {"train": {**TINY["train"], "patience": True}},
         {"arch": "JKNet", "k1": 0},
+        {"threads": 1.5},
+        {"threads": True},
     ], ids=["dataset-string", "k1-string", "k2-float", "gcn-depth-float",
-            "epochs-float", "patience-bool", "jknet-degree-0"])
+            "epochs-float", "patience-bool", "jknet-degree-0", "threads-float",
+            "threads-bool"])
     def test_mistyped_value_exits_2_before_any_draw(
             self, tmp_path, capsys, no_draw, override):
         out = tmp_path / "runs"
+        # --threads would replace the config's threads.
+        flags = [] if "threads" in override else ["--threads", "2"]
         assert main(["train", "--config",
                      write_config(tmp_path, {**TINY, **override}),
-                     "--out-dir", str(out), "--threads", "2"]) == 2
+                     "--out-dir", str(out), *flags]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -138,12 +143,14 @@ class TestTrainCommand:
         assert "is not a directory" in capsys.readouterr().err
         assert out.read_text() == "not a directory\n"
 
-    def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
-        # The directory cannot be made, because its parent is a file.
+    def test_unwritable_out_dir_exits_2(self, tmp_path, capsys, no_draw):
+        # The directory cannot be made, because its parent is a file; this
+        # is found before any dataset is drawn.
         (tmp_path / "file").write_text("")
         assert main(["train", "--config", write_config(tmp_path),
                      "--out-dir", str(tmp_path / "file" / "runs")]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "config error" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == ""
 
     def test_train_seed_exits_2(self, tmp_path):
         cfg = {**TINY, "train": {**TINY["train"], "seed": 7}}
@@ -302,7 +309,7 @@ class TestAnalyzeCommand:
         assert report["activation"]["laplacian"]["label"] == "Negative"
 
     def test_activation_above_dense_sizes(self, tmp_path):
-        # Above CLASSIFY_GUARD: the verdicts need no dense matrix.
+        # Above the dense oracle's guard: the verdicts need no dense matrix.
         cfg = {"dataset": {"kind": "csbm", "regime": "heterophily",
                            "n": 2500}}
         out = tmp_path / "runs"
@@ -362,8 +369,7 @@ class TestAnalyzeCommand:
 class TestDatasetCommands:
     def test_flags_are_the_config_flags(self, command):
         args = vars(build_parser().parse_args([command]))
-        assert set(args) == {"command", "fn", "config", "seed_list",
-                             "out_dir"}
+        assert set(args) == {"command", "fn", "config", "out_dir"}
 
     def test_non_object_dataset_exits_2(self, tmp_path, capsys, command):
         out = tmp_path / "runs"
@@ -385,13 +391,13 @@ class TestDatasetCommands:
 class TestVerifyCommand:
     def test_out_in_missing_directory_exits_2(self, tmp_path, capsys,
                                               monkeypatch):
-        report = {"schema": "gscnet-verify/1", "passed": True, "checks": []}
-        monkeypatch.setattr(suite, "run_suite", lambda seed, quick: report)
+        def run_suite(seed, quick):
+            raise AssertionError("the suite ran")
+        monkeypatch.setattr(suite, "run_suite", run_suite)
         out = tmp_path / "missing" / "verify.json"
         assert main(["verify", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert json.loads(captured.out) == report
-        assert "error:" in captured.err and not out.exists()
+        assert "config error" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_quick_suite_passes(self, tmp_path):
         out = tmp_path / "verify.json"

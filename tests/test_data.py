@@ -175,10 +175,6 @@ class TestRandomSplit:
         assert np.array_equal(a.train, b.train)
         assert np.array_equal(a.test, b.test)
 
-    def test_bad_ratios_rejected(self):
-        with pytest.raises(InputError):
-            random_split(10, ratios=(0.5, 0.2, 0.2), seed=0)
-
     @given(st.integers(min_value=1, max_value=1000))
     @settings(max_examples=60, deadline=None)
     def test_masks_partition_nodes(self, n):

@@ -35,8 +35,8 @@ def matrix_power(M, k):
 class TestInit:
     def test_filter_coefficients_all_ones(self):
         params = init_params("GSCNet", 4, 3, 2, 1, seed=0)
-        assert np.array_equal(params.filter.alpha, [1.0, 1.0, 1.0])
-        assert np.array_equal(params.filter.beta, [1.0, 1.0])
+        assert np.array_equal(params.alpha, [1.0, 1.0, 1.0])
+        assert np.array_equal(params.beta, [1.0, 1.0])
 
     def test_same_seed_bit_identical(self):
         a = init_params("GSCNet", 5, 2, 2, 2, seed=7)
@@ -52,10 +52,14 @@ class TestInit:
         assert np.array_equal(params.b1, np.zeros(64))
 
     def test_baseline_coefficient_layouts(self):
-        assert init_params("JKNet", 4, 2, 3, 0, seed=0).filter.alpha.shape == (3,)
-        assert init_params("BernNet", 4, 2, 3, 0, seed=0).filter.alpha.shape == (4,)
-        gcn = init_params("GCN", 4, 2, 3, 0, seed=0)
-        assert gcn.filter.alpha.size == 0 and gcn.gcn_depth == 3
+        # The degrees are kept as given; the coefficient sizes follow them.
+        for arch, k1, k2, sizes in [("GSCNet", 2, -1, (3, 0)),
+                                    ("GCN", 3, 0, (0, 0)),
+                                    ("JKNet", 3, 0, (3, 0)),
+                                    ("BernNet", 3, 0, (4, 0))]:
+            params = init_params(arch, 4, 2, k1, k2, seed=0)
+            assert (params.k1, params.k2) == (k1, k2)
+            assert (params.alpha.size, params.beta.size) == sizes
 
     def test_unknown_arch_rejected(self):
         with pytest.raises(InputError):
@@ -87,8 +91,8 @@ class TestForward:
         params.b1[:] = 0.0
         params.w2[:] = 1.0
         params.b2[:] = 0.0
-        params.filter.alpha[:] = [0.5, 2.0]
-        params.filter.beta[:] = [0.25, -1.0]
+        params.alpha[:] = [0.5, 2.0]
+        params.beta[:] = [0.25, -1.0]
         logits, _ = forward(params, g, X)
         H = np.maximum(X @ params.w1, 0.0) @ params.w2
         S = dense_shifted_ref(K2_EDGES, 2)
@@ -148,8 +152,8 @@ class TestForward:
         g = build_csr(edges, n)
         X = rng.normal(size=(n, 4))
         params = init_params(arch, 4, 3, k1, 0, seed=2)
-        if params.filter.alpha.size:
-            params.filter.alpha[:] = rng.normal(size=params.filter.alpha.shape)
+        if params.alpha.size:
+            params.alpha[:] = rng.normal(size=params.alpha.shape)
         logits, _ = forward(params, g, X)
 
         H = mlp_eval(params, X)
@@ -160,10 +164,10 @@ class TestForward:
             dense = matrix_power(M, k1) @ H
         elif arch == "JKNet":
             dense = sum(a * matrix_power(M, k + 1) @ H
-                        for k, a in enumerate(params.filter.alpha))
+                        for k, a in enumerate(params.alpha))
         else:  # BernNet: coefficient k multiplies (2I-L)^k L^{K-k}
             dense = sum(a * matrix_power(S, k) @ matrix_power(L, k1 - k) @ H
-                        for k, a in enumerate(params.filter.alpha))
+                        for k, a in enumerate(params.alpha))
         assert np.abs(logits - dense).max() <= 1e-9
 
     def test_end_to_end_permutation_equivariance(self, rng):
@@ -241,8 +245,8 @@ class TestGradients:
         mask = rng.random(n) < 0.5
         mask[0] = True
         params = init_params("GSCNet", 4, 3, k1, k2, seed=1)
-        params.filter.alpha[:] = rng.normal(size=params.filter.alpha.shape)
-        params.filter.beta[:] = rng.normal(size=params.filter.beta.shape)
+        params.alpha[:] = rng.normal(size=params.alpha.shape)
+        params.beta[:] = rng.normal(size=params.beta.shape)
         cfg = TrainConfig(dropout_conv=0.0, dropout_linear=0.0)
         _, grads = loss_and_grad(params, g, X, labels, mask, cfg)
 
@@ -289,8 +293,8 @@ class TestPropagationResponses:
             g = random_connected_graph(rng, n)
             X = rng.normal(size=(n, 3))
             params = init_params(arch, 3, 3, K, 0, seed=0)
-            alpha = rng.normal(size=params.filter.alpha.shape)
-            params.filter.alpha[:] = alpha
+            alpha = rng.normal(size=params.alpha.shape)
+            params.alpha[:] = alpha
             if arch == "BernNet":
                 eig = verify.dense_eigensystem(g)
 
@@ -346,10 +350,10 @@ class TestGcnPropagation:
         powers = operator_powers(graph.gcn_norm_apply, g, X, K)
         assert gcn_propagate(g, X, K).tobytes() == powers[-1].tobytes()
         params = init_params("JKNet", 1, 1, K, 0, seed=0)
-        params.filter.alpha[:] = rng.normal(size=K)
+        params.alpha[:] = rng.normal(size=K)
         Z, _ = _propagate(params, g, X)
         assert Z.tobytes() == \
-            combine(powers[1:], params.filter.alpha).tobytes()
+            combine(powers[1:], params.alpha).tobytes()
 
 
 def applies_per_pass(arch, k1, k2):
@@ -405,7 +409,7 @@ class TestSparseApplyCounts:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = init_params("GSCNet", 3, 2, 1, 1, seed=0)
-        before = params.copy()
+        before = copy.deepcopy(params)
         grads = {k: np.zeros_like(v) for k, v in params.trainable().items()}
         cfg = TrainConfig(weight_decay=0.0)
         adam_step(params, grads, AdamState.for_params(params), cfg)
@@ -438,7 +442,7 @@ class TestAdam:
 
     def test_weight_decay_only_on_mlp_weights(self):
         params = init_params("GSCNet", 2, 2, 1, 1, seed=0)
-        before = params.copy()
+        before = copy.deepcopy(params)
         grads = {k: np.zeros_like(v) for k, v in params.trainable().items()}
         cfg = TrainConfig(weight_decay=0.1)
         adam_step(params, grads, AdamState.for_params(params), cfg)
@@ -446,8 +450,8 @@ class TestAdam:
         assert not np.array_equal(params.w1, before.w1)
         assert not np.array_equal(params.w2, before.w2)
         assert np.array_equal(params.b1, before.b1)
-        assert np.array_equal(params.filter.alpha, [1.0, 1.0])
-        assert np.array_equal(params.filter.beta, [1.0, 1.0])
+        assert np.array_equal(params.alpha, [1.0, 1.0])
+        assert np.array_equal(params.beta, [1.0, 1.0])
         # Large entries shrink toward zero.
         big = np.abs(before.w1) > 2 * cfg.lr_linear
         assert (np.abs(params.w1)[big] < np.abs(before.w1)[big]).all()

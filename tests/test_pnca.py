@@ -4,12 +4,13 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gscnet import verify
 from gscnet.errors import (ContractViolationError, DegenerateInputError,
                            InputError, SizeGuardError)
 from gscnet.graph import build_csr, laplacian_apply, permute_graph, shifted_apply
-from gscnet.pnca import (CLASSIFY_GUARD, classify_graph_activation,
-                         label_smoothness, positive_combination_check,
-                         rayleigh_quotient, transform)
+from gscnet.pnca import (classify_graph_activation, label_smoothness,
+                         positive_combination_check, rayleigh_quotient,
+                         transform)
 
 from conftest import (K2_EDGES, P3_EDGES, TRIANGLE_EDGES, connected_edges,
                       dense_shifted_ref, er_edges)
@@ -90,8 +91,8 @@ class TestClassifyGraphActivation:
 
     def test_size_guard(self):
         # The classifier reads the sparse pattern at any n; only the dense
-        # expansion of powers is guarded.
-        n = CLASSIFY_GUARD + 1
+        # expansion of powers is guarded, by the dense oracle's guard.
+        n = verify.DENSE_GUARD + 1
         g = build_csr([(0, 1)], n)
         assert classify_graph_activation(transform(g, "shifted"), g).positive
         with pytest.raises(SizeGuardError):
@@ -161,6 +162,30 @@ class TestPositiveCombination:
             local = np.random.default_rng(seed)
             g = build_csr(connected_edges(local, 20), 20)
             assert positive_combination_check([0.3, 0.7, 0.1], g).positive
+
+    def test_matches_row_major_reference(self, rng):
+        """Label and witness equal a row-major scan of sum_j c_j S^j, with S
+        built from the edge list, zero coefficients included."""
+        fixed = [[0.5, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 2.0],
+                 [0.3, 0.0, 0.7]]
+        for _ in range(30):
+            n = int(rng.integers(2, 16))
+            edges = er_edges(rng, n, 0.25)
+            g = build_csr(edges, n)
+            S = dense_shifted_ref(edges, n)
+            drawn = rng.random(int(rng.integers(1, 6)))
+            drawn[rng.random(drawn.size) < 0.4] = 0.0
+            drawn[-1] += 0.1
+            for coeffs in fixed + [drawn]:
+                T = sum(c * np.linalg.matrix_power(S, j)
+                        for j, c in enumerate(coeffs))
+                verdict = positive_combination_check(coeffs, g)
+                assert (verdict.label, verdict.witness) == \
+                    row_major_reference(T, g)
+
+    def test_all_zero_coefficients_negative(self):
+        verdict = positive_combination_check([0.0, 0.0], build_csr(K2_EDGES, 2))
+        assert verdict.witness == (None, 0.0, "all coefficients zero")
 
     def test_negative_coefficient_breaks_contract(self):
         g = build_csr(K2_EDGES, 2)
