@@ -182,10 +182,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # A bad --out is found before the suite runs, not after it.
+    # A bad --out or --seed is found before the suite runs, not after it.
+    if args.out and os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out!r} is a directory")
     if args.out and not os.path.isdir(os.path.dirname(
             os.path.abspath(args.out))):
         raise ConfigError(f"--out {args.out!r}: its directory does not exist")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     report = suite.run_suite(seed=args.seed, quick=args.quick)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

@@ -89,8 +89,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if not self.seeds:
             raise ConfigError("seed list must not be empty")
-        if not all(_is_int(s) for s in self.seeds):
-            raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
+        if not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be integers >= 0, got "
+                              f"{self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seed list contains duplicates")
         if not _is_int(self.threads) or self.threads < 1:

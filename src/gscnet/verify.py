@@ -2,17 +2,19 @@
 
 Everything here recomputes quantities the slow, obviously-correct way:
 dense operator matrices built entry by entry, explicit eigendecomposition,
-repeated dense multiplication, and central finite differences. The
-eigensolver is implemented in-repo (Householder tridiagonalization followed
-by implicit-shift QL) so the oracle does not share code with anything it is
-used to check; the test suite cross-validates it against LAPACK.
+repeated dense multiplication, and central finite differences.
+
+The oracle shares no code with what it checks. Every production path is a
+scipy CSR product plus BLAS matrix multiplication; none calls LAPACK's
+symmetric eigensolvers, so the eigendecomposition here is LAPACK's ``eigh``
+(the test suite pins that no other module names an eigensolver). This module
+imports no scipy.
 
 None of this is a production path: dense routines are guarded at n <= 500.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,120 +84,19 @@ def dense_eigensystem(g: SparseGraph) -> EigenSystem:
 
 
 def symmetric_eigensystem(A: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a dense symmetric matrix, in-repo.
+    """Eigendecomposition of a dense symmetric matrix by LAPACK's ``eigh``.
 
-    Householder reduction to tridiagonal form, then implicit-shift QL with
-    eigenvector accumulation. O(n^3); intended for verification sizes only.
+    ``eigh`` reads one triangle only, so the symmetry check comes first:
+    without it an asymmetric input would be decomposed silently.
     """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
     if A.shape != (n, n):
         raise InputError(f"expected square matrix, got shape {A.shape}")
-    if n and not np.allclose(A, A.T, atol=1e-12):
+    if not np.allclose(A, A.T, atol=1e-12):
         raise InputError("matrix is not symmetric")
-    if n == 0:
-        return EigenSystem(np.zeros(0), np.zeros((0, 0)))
-
-    d, e, Q = _householder_tridiagonalize(A.copy())
-    _tridiagonal_ql(d, e, Q)
-
-    order = np.argsort(d, kind="stable")
-    return EigenSystem(values=d[order], vectors=Q[:, order])
-
-
-def _householder_tridiagonalize(A):
-    """Reduce symmetric A in place to tridiagonal T = Q^T A Q.
-
-    Returns (diagonal, subdiagonal, Q) with A = Q T Q^T.
-    """
-    n = A.shape[0]
-    Q = np.eye(n)
-    e = np.zeros(max(n - 1, 0))
-    for k in range(n - 2):
-        x = A[k + 1:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            e[k] = 0.0
-            continue
-        alpha = -math.copysign(norm_x, x[0]) if x[0] != 0.0 else -norm_x
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            e[k] = alpha
-            continue
-        v /= vnorm
-
-        # Symmetric rank-2 update: (I-2vv^T) A_sub (I-2vv^T).
-        sub = A[k + 1:, k + 1:]
-        w = sub @ v
-        u = w - (v @ w) * v
-        sub -= 2.0 * np.outer(v, u) + 2.0 * np.outer(u, v)
-
-        A[k + 1, k] = alpha
-        A[k, k + 1] = alpha
-        A[k + 2:, k] = 0.0
-        A[k, k + 2:] = 0.0
-        e[k] = alpha
-
-        Qs = Q[:, k + 1:]
-        Qs -= 2.0 * np.outer(Qs @ v, v)
-    if n >= 2:
-        e[n - 2] = A[n - 1, n - 2]
-    return np.diag(A).copy(), e, Q
-
-
-def _tridiagonal_ql(d, e, Q, max_iter=60):
-    """Implicit-shift QL sweeps on tridiagonal (d, e), rotating Q along.
-
-    ``d`` and ``Q`` are updated in place; ``e`` is workspace.
-    """
-    n = d.shape[0]
-    if n <= 1:
-        return
-    e = np.append(e, 0.0)
-    eps = np.finfo(np.float64).eps
-    for l in range(n):
-        for iteration in range(max_iter + 1):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if iteration == max_iter:
-                raise RuntimeError("QL iteration failed to converge")
-
-            g_ = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g_, 1.0)
-            g_ = d[m] - d[l] + e[l] / (g_ + math.copysign(r, g_))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g_)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g_ / r
-                g_ = d[i + 1] - p
-                r = (d[i] - g_) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g_ + p
-                g_ = c * r - b
-
-                qi = Q[:, i].copy()
-                Q[:, i + 1], Q[:, i] = s * qi + c * Q[:, i + 1], c * qi - s * Q[:, i + 1]
-            else:
-                d[l] -= p
-                e[l] = g_
-                e[m] = 0.0
+    values, vectors = np.linalg.eigh(A)
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def spectral_filter_oracle(eig: EigenSystem, h, x) -> np.ndarray:

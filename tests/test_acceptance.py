@@ -26,9 +26,8 @@ from gscnet.data import csbm_generate, csbm_params_for, load_dataset, \
     random_split
 from gscnet.experiments import (ExperimentConfig, cmd_ablate_activations,
                                 cmd_bench, cmd_oversmooth, cmd_sweep_degrees,
-                                cmd_train, measure_cache_build)
-from gscnet.graph import build_csr, laplacian_apply, permute_graph, \
-    shifted_apply
+                                measure_cache_build)
+from gscnet.graph import laplacian_apply, permute_graph, shifted_apply
 from gscnet.model import TrainConfig, forward, init_params
 from gscnet.pnca import positive_combination_check, rayleigh_quotient
 from gscnet.suite import _gradcheck_instance, er_graph, gscnet_filter, \

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -120,9 +119,10 @@ class TestTrainCommand:
         {"arch": "JKNet", "k1": 0},
         {"threads": 1.5},
         {"threads": True},
+        {"seeds": [-1]},
     ], ids=["dataset-string", "k1-string", "k2-float", "gcn-depth-float",
             "epochs-float", "patience-bool", "jknet-degree-0", "threads-float",
-            "threads-bool"])
+            "threads-bool", "seed-negative"])
     def test_mistyped_value_exits_2_before_any_draw(
             self, tmp_path, capsys, no_draw, override):
         out = tmp_path / "runs"
@@ -389,15 +389,25 @@ class TestDatasetCommands:
 
 
 class TestVerifyCommand:
-    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys,
-                                              monkeypatch):
+    @pytest.fixture
+    def no_suite(self, monkeypatch):
         def run_suite(seed, quick):
             raise AssertionError("the suite ran")
         monkeypatch.setattr(suite, "run_suite", run_suite)
+
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys,
+                                              no_suite):
         out = tmp_path / "missing" / "verify.json"
         assert main(["verify", "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.parent.exists()
+        # An --out that is itself a directory is rejected as early.
+        assert main(["verify", "--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys, no_suite):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_quick_suite_passes(self, tmp_path):
         out = tmp_path / "verify.json"

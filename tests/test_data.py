@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gscnet
 from gscnet import data
-from gscnet.data import (CsbmParams, Dataset, Split, _triu_pairs,
+from gscnet.data import (CsbmParams, Dataset, _triu_pairs,
                          csbm_generate, csbm_params_for, load_dataset,
                          random_split, save_dataset)
 from gscnet.errors import DataError, DegenerateInputError, InputError

@@ -1,4 +1,3 @@
-import json
 import os
 from dataclasses import replace
 
@@ -70,7 +69,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="train.seed"):
             ExperimentConfig.from_json({"train": {"seed": 7}})
 
-    @pytest.mark.parametrize("seeds", [["a"], [1.5], [0, None], [True]])
+    @pytest.mark.parametrize("seeds", [["a"], [1.5], [0, None], [True], [-1]])
     def test_non_integer_seed_rejected(self, seeds):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json({"seeds": seeds})

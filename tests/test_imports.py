@@ -1,0 +1,43 @@
+import ast
+import glob
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The package's __init__.py imports in order to re-export; its imports are
+# the public API, not dead code.
+MODULES = sorted(
+    p for p in glob.glob(os.path.join(ROOT, "src", "gscnet", "*.py"))
+    + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+    if os.path.basename(p) != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by a module-level import that the module never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_finds_an_unused_import():
+    source = "import math\nimport os\nfrom json import dumps, loads\n" \
+             "os.getcwd()\nloads('1')\n"
+    assert unused_imports(source) == [(1, "math"), (3, "dumps")]
+
+
+def test_no_unused_module_import():
+    found = {}
+    for path in MODULES:
+        with open(path, encoding="utf-8") as f:
+            unused = unused_imports(f.read())
+        if unused:
+            found[os.path.relpath(path, ROOT)] = unused
+    assert found == {}

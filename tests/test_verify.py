@@ -1,4 +1,5 @@
 import ast
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +26,17 @@ class TestDenseEigensystem:
         eig = dense_eigensystem(build_csr(TRIANGLE_EDGES, 3))
         assert np.allclose(eig.values, [0.0, 1.5, 1.5], atol=1e-14)
 
+    def test_isolated_node_spectrum(self):
+        # L acts as the identity on an isolated node.
+        eig = dense_eigensystem(build_csr([], 1))
+        assert np.array_equal(eig.values, [1.0])
+        assert np.array_equal(np.abs(eig.vectors), [[1.0]])
+
+    def test_empty_graph_spectrum(self):
+        eig = dense_eigensystem(build_csr([], 0))
+        assert eig.values.shape == (0,)
+        assert eig.vectors.shape == (0, 0)
+
     def test_invariants_random_graph(self, rng):
         n = 50
         g = build_csr(er_edges(rng, n, 0.2), n)
@@ -34,16 +46,6 @@ class TestDenseEigensystem:
         assert np.linalg.norm(recon - L) <= 1e-8 * n
         assert np.linalg.norm(eig.vectors.T @ eig.vectors - np.eye(n)) <= 1e-10
         assert (np.diff(eig.values) >= -1e-12).all()
-
-    def test_matches_lapack(self, rng):
-        # Cross-validates the in-repo solver against an external one.
-        for _ in range(20):
-            n = int(rng.integers(1, 40))
-            A = rng.normal(size=(n, n))
-            A = (A + A.T) / 2.0
-            eig = symmetric_eigensystem(A)
-            assert np.allclose(eig.values, np.linalg.eigvalsh(A),
-                               atol=1e-10 * max(1, n))
 
     def test_size_guard(self):
         g = build_csr([(0, 1)], 501)
@@ -142,3 +144,24 @@ def test_oracles_do_not_import_scipy():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module)
     assert not {m for m in imported if m.split(".")[0] == "scipy"}
+
+
+def test_only_the_oracle_names_an_eigensolver():
+    # The oracle's eigendecomposition is LAPACK's eigh; it stays independent
+    # of what it checks only while no other module calls an eigensolver. A
+    # solver is reached by an import or an attribute (np.linalg.eigh), so
+    # those are the names read; a local variable called `eig` is not one.
+    solvers = {"eigh", "eigvalsh", "eig", "eigvals"}
+    package = os.path.dirname(verify.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "verify.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+        assert not named & solvers, name
