@@ -17,43 +17,12 @@ the one weighted sum every model uses, forward and backward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 from .graph import SparseGraph, laplacian_apply, normalized_apply, \
     shifted_apply
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Coefficients of the two-family polynomial filter.
-
-    ``alpha[i]`` multiplies (2I-L)^i and ``beta[j]`` multiplies L^j; the
-    degrees are implied by the vector lengths (k1 = len(alpha) - 1). An
-    empty vector switches that family off entirely (degree -1), which is
-    how the pure positive/negative ablations are expressed.
-    """
-
-    alpha: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    beta: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha",
-                           np.asarray(self.alpha, dtype=np.float64).reshape(-1))
-        object.__setattr__(self, "beta",
-                           np.asarray(self.beta, dtype=np.float64).reshape(-1))
-        if not (np.isfinite(self.alpha).all() and np.isfinite(self.beta).all()):
-            raise InputError("filter coefficients must be finite")
-
-    @property
-    def k1(self) -> int:
-        return self.alpha.shape[0] - 1
-
-    @property
-    def k2(self) -> int:
-        return self.beta.shape[0] - 1
 
 
 def operator_powers(apply, g: SparseGraph, X, k: int) -> list:
@@ -105,15 +74,16 @@ def combine(blocks, coeffs) -> np.ndarray:
     return Z
 
 
-def gsc_combine(blocks, spec: FilterSpec) -> np.ndarray:
+def gsc_combine(blocks, alpha, beta) -> np.ndarray:
     """Z = sum_i alpha_i P_i + sum_j beta_j Q_j over the Krylov blocks of
-    `build_basis_cache`; linear in (alpha, beta)."""
-    W = gsc_weights(spec.k1, spec.k2)
+    `build_basis_cache`; linear in (alpha, beta). The degrees are the
+    vectors' lengths less one, so an empty vector switches its family
+    off."""
+    W = gsc_weights(len(alpha) - 1, len(beta) - 1)
     if W.shape[0] > len(blocks):
-        raise InputError(
-            f"filter degrees ({spec.k1}, {spec.k2}) exceed the cache degree "
-            f"{len(blocks) - 1}")
-    return combine(blocks, W @ np.concatenate([spec.alpha, spec.beta]))
+        raise InputError(f"filter degree {W.shape[0] - 1} exceeds the cache "
+                         f"degree {len(blocks) - 1}")
+    return combine(blocks, W @ np.concatenate([alpha, beta]))
 
 
 def bernstein_blocks(g: SparseGraph, X, K: int) -> list:

@@ -36,7 +36,7 @@ from .basis import build_basis_cache
 from .data import (CsbmParams, Dataset, csbm_generate, csbm_params_for,
                    load_dataset, random_split)
 from .errors import ConfigError, InputError
-from .model import ARCHITECTURES, TrainConfig, _is_int, init_params
+from .model import ARCHITECTURES, TrainConfig, is_int, propagation
 from .train import RunRecord, train_single
 
 SCHEMA_VERSION = "gscnet-experiments/1"
@@ -89,12 +89,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if not self.seeds:
             raise ConfigError("seed list must not be empty")
-        if not all(_is_int(s) and s >= 0 for s in self.seeds):
+        if not all(is_int(s) and s >= 0 for s in self.seeds):
             raise ConfigError(f"seeds must be integers >= 0, got "
                               f"{self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seed list contains duplicates")
-        if not _is_int(self.threads) or self.threads < 1:
+        if not is_int(self.threads) or self.threads < 1:
             raise ConfigError(f"threads must be an integer >= 1, got "
                               f"{self.threads!r}")
 
@@ -256,12 +256,11 @@ def _fan_out(config: ExperimentConfig, jobs: list) -> list:
 
 def _run_cells(config: ExperimentConfig, cells) -> list:
     """Train every (arch, k1, k2) cell on every seed, one job per seed;
-    returns, per cell, its RunRecords in seed order. Each cell's model is
-    built once at width 1 first, so a bad degree fails before any dataset
-    is drawn."""
+    returns, per cell, its RunRecords in seed order. Each cell's degrees
+    are checked first, so a bad degree fails before any dataset is drawn."""
     cells = list(cells)
     for arch, k1, k2 in cells:
-        init_params(arch, 1, 1, k1, k2, seed=0)
+        propagation(arch, k1, k2)
     source = _dataset_source(config.dataset)
     jobs = [(seed, functools.partial(_run_one_seed, config, source, seed,
                                      cells))

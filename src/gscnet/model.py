@@ -7,20 +7,23 @@ Z = prop(H).
     JKNet    prop(V) = sum_{k=1..K} alpha_k M^k V
     BernNet  prop(V) = sum_{k=0..K} alpha_k (2I-L)^k L^{K-k} V
 
-One propagation path serves all four: `_blocks` names each architecture's
-basis blocks B_m(V), and prop(V) = sum_m (W c)_m B_m(V) with c = (alpha,
-beta), or c = [1] for GCN's one fixed block. W is the identity matrix
-except for GSCNet, whose blocks are the Krylov sequence Â^m V,
-m <= max(k1, k2), and whose W holds the binomial coefficients of (I+Â)^i
-and (I-Â)^j. GCN's block is the last of the M powers JKNet sums. Every
-operator is symmetric, so the backward pass is the same path run on dZ,
-and the gradient of c is W^T t with t_m = <dZ, B_m(V)>. Dropout is
-applied at two sites: on the first stage's input (linear rate) and
-between the stages (conv rate), inverted-scaled at train time.
+One propagation path serves all four: `propagation` checks an
+architecture's degrees once and returns its `Propagation`, whose `blocks`
+are the basis blocks B_m(V) and whose `apply` is prop(V) = sum_m (W c)_m
+B_m(V) with c = (alpha, beta), or the fixed weight [1] for GCN's one block.
+W is the identity matrix except for GSCNet, whose blocks are the Krylov
+sequence Â^m V, m <= max(k1, k2), and whose W holds the binomial
+coefficients of (I+Â)^i and (I-Â)^j. GCN's block is the last of the M
+powers JKNet sums. Every operator is symmetric, so the backward pass is the
+same path run on dZ, and the gradient of c is W^T t with
+t_m = <dZ, B_m(V)>. Dropout is applied at two sites: on the first stage's
+input (linear rate) and between the stages (conv rate), inverted-scaled at
+train time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +37,7 @@ ARCHITECTURES = ("GSCNet", "GCN", "JKNet", "BernNet")
 HIDDEN_UNITS = 64
 
 
-def _is_int(value) -> bool:  # a bool is an int to Python, but not here
+def is_int(value) -> bool:  # a bool is an int to Python, but not here
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
@@ -50,30 +53,91 @@ class TrainConfig:
     patience: int = 200
 
     def __post_init__(self):
-        if self.lr_linear <= 0 or self.lr_prop <= 0:
-            raise InputError("learning rates must be > 0")
+        # A comparison with NaN is False, so these reject NaN too.
+        if not (0 < self.lr_linear < math.inf and 0 < self.lr_prop < math.inf
+                and 0 <= self.weight_decay < math.inf):
+            raise InputError("learning rates must be finite and > 0 and "
+                             "weight_decay finite and >= 0, got "
+                             f"{self.lr_linear!r}, {self.lr_prop!r}, "
+                             f"{self.weight_decay!r}")
         for p in (self.dropout_conv, self.dropout_linear):
             if not 0.0 <= p < 1.0:
                 raise InputError(f"dropout must be in [0, 1), got {p}")
-        if not (_is_int(self.epochs) and _is_int(self.patience)) \
+        if not (is_int(self.epochs) and is_int(self.patience)) \
                 or self.epochs < 0 or self.patience < 0:
             raise InputError("epochs and patience must be non-negative "
                              f"integers, got {self.epochs!r}, "
                              f"{self.patience!r}")
 
 
-@dataclass
-class ModelParams:
-    """Trainable state: MLP weights plus the propagation coefficients
-    ``alpha`` and ``beta``, with the degrees ``k1``/``k2`` as `init_params`
-    was given them. The coefficients' meaning is architecture-dependent (see
-    module docstring): GCN has none, and for JKNet alpha[k-1] multiplies M^k
-    (there is no k = 0 term).
-    """
+@dataclass(frozen=True, eq=False)
+class Propagation:
+    """One architecture's propagation stage at its degrees, as `propagation`
+    checked them: ``na`` + ``nb`` coefficients c = (alpha, beta) and the
+    read-only map ``W`` from c to block weights."""
 
     arch: str
     k1: int
     k2: int
+    na: int
+    nb: int
+    W: np.ndarray
+
+    def blocks(self, g: SparseGraph, V: np.ndarray) -> list:
+        """The basis blocks B_m(V), one per block weight: GSCNet's Krylov
+        sequence to max(k1, k2), BernNet's k1 + 1 Bernstein terms, and for
+        GCN and JKNet one recurrence of k1 M powers, of which GCN keeps the
+        last block and JKNet every block after V."""
+        if self.arch == "GSCNet":
+            return build_basis_cache(g, V, max(self.k1, self.k2, 0))
+        if self.arch == "BernNet":
+            return bernstein_blocks(g, V, self.k1)
+        powers = operator_powers(gcn_norm_apply, g, V, self.k1)
+        return powers[-1:] if self.arch == "GCN" else powers[1:]
+
+    def apply(self, c: np.ndarray, g: SparseGraph, V: np.ndarray):
+        """(sum_m (W c)_m B_m(V), the blocks B_m(V)). GCN trains no
+        coefficient and weights its one block by 1."""
+        blocks = self.blocks(g, V)
+        weights = np.ones(1) if self.arch == "GCN" else self.W @ c
+        return combine(blocks, weights), blocks
+
+
+def propagation(arch: str, k1: int, k2: int) -> Propagation:
+    """The `Propagation` of ``arch`` at degrees (k1, k2); the one place the
+    degrees are checked. GSCNet uses (k1, k2), where -1 switches a family
+    off; GCN propagates a fixed k1 steps; JKNet and BernNet use k1 as their
+    single degree K."""
+    if arch not in ARCHITECTURES:
+        raise InputError(f"unknown architecture {arch!r}; "
+                         f"expected one of {ARCHITECTURES}")
+    if not (is_int(k1) and is_int(k2)):
+        raise InputError(f"degrees must be integers, got ({k1!r}, {k2!r})")
+    if arch == "GSCNet":
+        if k1 < -1 or k2 < -1 or (k1 < 0 and k2 < 0):
+            raise InputError(f"GSCNet needs at least one family, got ({k1}, {k2})")
+        na, nb, W = k1 + 1, k2 + 1, gsc_weights(k1, k2)
+    else:
+        lowest = 1 if arch == "JKNet" else 0
+        if k1 < lowest:
+            raise InputError(f"{arch} degree must be >= {lowest}, got {k1}")
+        na = {"GCN": 0, "JKNet": k1, "BernNet": k1 + 1}[arch]
+        # The identity's products are exact: W changes no baseline's bytes.
+        nb, W = 0, np.eye(na)
+    W.flags.writeable = False
+    return Propagation(arch, k1, k2, na, nb, W)
+
+
+@dataclass
+class ModelParams:
+    """Trainable state: MLP weights plus the propagation coefficients
+    ``alpha`` and ``beta`` of the model's propagation ``prop``. The
+    coefficients' meaning is architecture-dependent (see module docstring):
+    GCN has none, and for JKNet alpha[k-1] multiplies M^k (there is no
+    k = 0 term).
+    """
+
+    prop: Propagation
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -96,80 +160,20 @@ class ModelParams:
 
 def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
                 seed, hidden: int = HIDDEN_UNITS) -> ModelParams:
-    """Seeded initialization: filter coefficients all 1, MLP weights drawn
-    from the symmetric uniform fan-in scheme U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
+    """Seeded initialization of ``arch`` at degrees (k1, k2) (see
+    `propagation`): filter coefficients all 1, MLP weights drawn from the
+    symmetric uniform fan-in scheme U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
     biases zero.
-
-    Degree interpretation per architecture: GSCNet uses (k1, k2), where -1
-    switches a family off; GCN propagates a fixed k1 steps; JKNet and
-    BernNet use k1 as their single degree K.
     """
-    if arch not in ARCHITECTURES:
-        raise InputError(f"unknown architecture {arch!r}; "
-                         f"expected one of {ARCHITECTURES}")
-    if not (_is_int(k1) and _is_int(k2)):
-        raise InputError(f"degrees must be integers, got ({k1!r}, {k2!r})")
+    prop = propagation(arch, k1, k2)
     rng = np.random.default_rng(seed)
     s1 = 1.0 / np.sqrt(d_in)
     s2 = 1.0 / np.sqrt(hidden)
     w1 = rng.uniform(-s1, s1, size=(d_in, hidden))
     w2 = rng.uniform(-s2, s2, size=(hidden, d_out))
-
-    if arch == "GSCNet":
-        if k1 < -1 or k2 < -1 or (k1 < 0 and k2 < 0):
-            raise InputError(f"GSCNet needs at least one family, got ({k1}, {k2})")
-        alpha, beta = np.ones(k1 + 1), np.ones(k2 + 1)
-    elif arch == "GCN":
-        if k1 < 0:
-            raise InputError(f"GCN depth must be >= 0, got {k1}")
-        alpha, beta = np.zeros(0), np.zeros(0)
-    elif arch == "JKNet":
-        if k1 < 1:
-            raise InputError(f"JKNet degree must be >= 1, got {k1}")
-        alpha, beta = np.ones(k1), np.zeros(0)
-    else:  # BernNet
-        if k1 < 0:
-            raise InputError(f"BernNet degree must be >= 0, got {k1}")
-        alpha, beta = np.ones(k1 + 1), np.zeros(0)
-
-    return ModelParams(arch=arch, k1=k1, k2=k2, w1=w1, b1=np.zeros(hidden),
-                       w2=w2, b2=np.zeros(d_out), alpha=alpha, beta=beta)
-
-
-def _blocks(params: ModelParams, g: SparseGraph, V: np.ndarray):
-    """The architecture's basis blocks B_m(V), one per row of
-    `_weight_map(params)`, read off the degrees: GSCNet's Krylov sequence
-    to max(k1, k2), BernNet's k1 + 1 Bernstein terms, and for GCN and JKNet
-    one recurrence of k1 M powers, of which GCN keeps the last block and
-    JKNet every block after V."""
-    k1, k2 = params.k1, params.k2
-    if params.arch == "GSCNet":
-        return build_basis_cache(g, V, max(k1, k2, 0))
-    if params.arch == "BernNet":
-        return bernstein_blocks(g, V, k1)
-    powers = operator_powers(gcn_norm_apply, g, V, k1)
-    return powers[-1:] if params.arch == "GCN" else powers[1:]
-
-
-def _coefficients(params: ModelParams) -> np.ndarray:
-    """c = (alpha, beta); GCN trains no coefficient and weights its one
-    block by 1."""
-    c = np.concatenate([params.alpha, params.beta])
-    return c if c.size else np.ones(1)
-
-
-def _weight_map(params: ModelParams) -> np.ndarray:
-    """The matrix W that maps the coefficients c to the block weights W c:
-    GSCNet's binomial map, else the identity, whose products are exact."""
-    if params.arch == "GSCNet":
-        return gsc_weights(params.k1, params.k2)
-    return np.eye(_coefficients(params).size)
-
-
-def _propagate(params: ModelParams, g: SparseGraph, V: np.ndarray):
-    """(sum_m (W c)_m B_m(V), the blocks B_m(V))."""
-    blocks = _blocks(params, g, V)
-    return combine(blocks, _weight_map(params) @ _coefficients(params)), blocks
+    return ModelParams(prop=prop, w1=w1, b1=np.zeros(hidden), w2=w2,
+                       b2=np.zeros(d_out), alpha=np.ones(prop.na),
+                       beta=np.ones(prop.nb))
 
 
 def forward(params: ModelParams, g: SparseGraph, X, rng=None,
@@ -208,8 +212,10 @@ def forward(params: ModelParams, g: SparseGraph, X, rng=None,
     H += params.b2
     mask_conv = drop_mask(H.shape, dropout_conv)
     Hd = H if mask_conv is None else np.multiply(H, mask_conv, out=H)
-    Z, blocks = _propagate(params, g, Hd)
-    tape = {"Xd": Xd, "h1": h1, "mask_conv": mask_conv, "blocks": blocks}
+    c = np.concatenate([params.alpha, params.beta])
+    Z, blocks = params.prop.apply(c, g, Hd)
+    tape = {"Xd": Xd, "h1": h1, "mask_conv": mask_conv, "c": c,
+            "blocks": blocks}
     return Z, tape
 
 
@@ -250,7 +256,7 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     loss, dZ = softmax_cross_entropy(logits, labels, mask)
 
     # The operators are symmetric: dH is the same propagation run on dZ.
-    dH, _ = _propagate(params, g, dZ)
+    dH, _ = params.prop.apply(tape["c"], g, dZ)
     if tape["mask_conv"] is not None:
         dH *= tape["mask_conv"]
     grads = {"w2": tape["h1"].T @ dH, "b2": dH.sum(axis=0)}
@@ -263,7 +269,7 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     na, nb = params.alpha.size, params.beta.size
     if na + nb:
         t = np.array([float(np.vdot(dZ, B)) for B in tape["blocks"]])
-        dc = _weight_map(params).T @ t
+        dc = params.prop.W.T @ t
         if na:
             grads["alpha"] = dc[:na]
         if nb:

@@ -8,14 +8,12 @@ suite) draw instances from.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import pnca, verify
-from .basis import FilterSpec, build_basis_cache, gsc_combine
+from .basis import build_basis_cache, gsc_combine
 from .graph import SparseGraph, build_csr, laplacian_apply, shifted_apply
-from .model import TrainConfig, _propagate, init_params, loss_and_grad
+from .model import TrainConfig, init_params, loss_and_grad, propagation
 
 
 def er_graph(rng, n: int, p: float) -> SparseGraph:
@@ -34,21 +32,11 @@ def random_connected_graph(rng, n: int, extra_p: float = 0.1) -> SparseGraph:
     return build_csr(edges, n)
 
 
-def unit_spec(family: str, i: int) -> FilterSpec:
-    """The filter that is one basis block: P_i for "shifted", Q_i for
-    "laplacian"."""
-    coeffs = np.zeros(i + 1)
-    coeffs[i] = 1.0
-    return FilterSpec(alpha=coeffs) if family == "shifted" \
-        else FilterSpec(beta=coeffs)
-
-
-def gscnet_filter(g: SparseGraph, X, spec: FilterSpec) -> np.ndarray:
+def gscnet_filter(g: SparseGraph, X, alpha, beta) -> np.ndarray:
     """The filter Z as training computes it: GSCNet's propagation with the
-    coefficients of ``spec``."""
-    params = init_params("GSCNet", 1, 1, spec.k1, spec.k2, seed=0)
-    params = dataclasses.replace(params, alpha=spec.alpha, beta=spec.beta)
-    return _propagate(params, g, X)[0]
+    coefficients (alpha, beta), whose lengths less one are its degrees."""
+    prop = propagation("GSCNet", len(alpha) - 1, len(beta) - 1)
+    return prop.apply(np.concatenate([alpha, beta]), g, X)[0]
 
 
 def _check_eigensystem(rng, trials: int) -> dict:
@@ -84,13 +72,12 @@ def _check_filter_agreement(rng, trials: int) -> dict:
         n = int(rng.integers(4, 51))
         g = random_connected_graph(rng, n)
         k1, k2 = int(rng.integers(0, 7)), int(rng.integers(0, 7))
-        spec = FilterSpec(alpha=rng.normal(size=k1 + 1),
-                          beta=rng.normal(size=k2 + 1))
+        alpha, beta = rng.normal(size=k1 + 1), rng.normal(size=k2 + 1)
         x = rng.normal(size=n)
-        sparse_z = gscnet_filter(g, x, spec)
+        sparse_z = gscnet_filter(g, x, alpha, beta)
         eig = verify.dense_eigensystem(g)
         oracle_z = verify.spectral_filter_oracle(
-            eig, verify.polynomial_response(spec.alpha, spec.beta), x)
+            eig, verify.polynomial_response(alpha, beta), x)
         denom = max(float(np.linalg.norm(oracle_z)), 1e-30)
         worst = max(worst, float(np.linalg.norm(sparse_z - oracle_z)) / denom)
     return {"name": "spectral_filter_agreement", "passed": bool(worst <= bound),
@@ -109,11 +96,11 @@ def _check_recurrence(rng, trials: int) -> dict:
         # degree the sweeps train (0-6) as well.
         k = 16
         cache = build_basis_cache(g, X, k)
-        operators = {"shifted": verify.dense_shifted(g),
-                     "laplacian": verify.dense_laplacian(g)}
+        S, L = verify.dense_shifted(g), verify.dense_laplacian(g)
         for i in range(k + 1):
-            for op, M in operators.items():
-                block = gsc_combine(cache, unit_spec(op, i))
+            unit = np.eye(i + 1)[i]
+            for M, (alpha, beta) in ((S, (unit, [])), (L, ([], unit))):
+                block = gsc_combine(cache, alpha, beta)
                 dense = verify.dense_matrix_power(M, i) @ X
                 denom = max(float(np.linalg.norm(dense)), 1e-30)
                 worst = max(worst,

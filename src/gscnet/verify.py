@@ -90,8 +90,7 @@ def symmetric_eigensystem(A: np.ndarray) -> EigenSystem:
     without it an asymmetric input would be decomposed silently.
     """
     A = np.asarray(A, dtype=np.float64)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected square matrix, got shape {A.shape}")
     if not np.allclose(A, A.T, atol=1e-12):
         raise InputError("matrix is not symmetric")

@@ -48,6 +48,13 @@ def connected_edges(rng, n, extra_p=0.15):
     return edges
 
 
+def unit_filter(family, i):
+    """(alpha, beta) of the filter that is one basis block: P_i for
+    "shifted", Q_i for "laplacian"."""
+    unit = np.eye(i + 1)[i]
+    return (unit, []) if family == "shifted" else ([], unit)
+
+
 def traced_peak(fn, *args, **kwargs):
     """(fn's result, the peak bytes tracemalloc saw allocated during it)."""
     tracemalloc.start()

@@ -20,7 +20,6 @@ import time
 import numpy as np
 import pytest
 
-from gscnet.basis import FilterSpec
 from gscnet.cli import _parse_range, build_parser
 from gscnet.data import csbm_generate, csbm_params_for, load_dataset, \
     random_split
@@ -50,13 +49,11 @@ class TestCriterion1SpectralEquivalence:
             n = int(rng.integers(2, 51))
             g = er_graph(rng, n, 0.25)
             k1, k2 = int(rng.integers(0, 7)), int(rng.integers(0, 7))
-            spec = FilterSpec(alpha=rng.normal(size=k1 + 1),
-                              beta=rng.normal(size=k2 + 1))
+            alpha, beta = rng.normal(size=k1 + 1), rng.normal(size=k2 + 1)
             x = rng.normal(size=n)
-            sparse = gscnet_filter(g, x, spec)
+            sparse = gscnet_filter(g, x, alpha, beta)
             oracle = spectral_filter_oracle(
-                dense_eigensystem(g),
-                polynomial_response(spec.alpha, spec.beta), x)
+                dense_eigensystem(g), polynomial_response(alpha, beta), x)
             denom = max(float(np.linalg.norm(oracle)), 1e-30)
             worst = max(worst, float(np.linalg.norm(sparse - oracle)) / denom)
         elapsed = time.perf_counter() - t0

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gscnet.basis import (FilterSpec, bernstein_blocks, build_basis_cache,
-                          gsc_combine, gsc_weights)
+from gscnet.basis import (bernstein_blocks, build_basis_cache, gsc_combine,
+                          gsc_weights)
 from gscnet.errors import InputError
 from gscnet.graph import build_csr, laplacian_apply, shifted_apply
-from gscnet.suite import unit_spec
 
 from conftest import (K2_EDGES, P3_EDGES, dense_laplacian_ref,
-                      dense_shifted_ref, er_edges)
+                      dense_shifted_ref, er_edges, unit_filter)
 
 
 def matrix_power(M, k):
@@ -18,17 +17,6 @@ def matrix_power(M, k):
     for _ in range(k):
         out = out @ M
     return out
-
-
-class TestFilterSpec:
-    def test_degrees_from_lengths(self):
-        spec = FilterSpec(alpha=[1.0, 2.0], beta=[0.5])
-        assert spec.k1 == 1 and spec.k2 == 0
-        assert FilterSpec().k1 == -1
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InputError):
-            FilterSpec(alpha=[np.nan])
 
 
 class TestBasisCache:
@@ -41,7 +29,7 @@ class TestBasisCache:
     def test_k2_first_shifted_block(self):
         g = build_csr(K2_EDGES, 2)
         cache = build_basis_cache(g, np.array([1.0, 0.0]), 1)
-        assert np.allclose(gsc_combine(cache, unit_spec("shifted", 1)),
+        assert np.allclose(gsc_combine(cache, *unit_filter("shifted", 1)),
                            [1.0, 1.0])
 
     def test_krylov_length_is_max_degree(self, rng):
@@ -63,7 +51,7 @@ class TestBasisCache:
         L = dense_laplacian_ref(edges, 20)
         for i in range(K + 1):
             for family, M in (("shifted", S), ("laplacian", L)):
-                block = gsc_combine(cache, unit_spec(family, i))
+                block = gsc_combine(cache, *unit_filter(family, i))
                 dense = matrix_power(M, i) @ X
                 rel = np.linalg.norm(block - dense) / max(np.linalg.norm(dense), 1e-30)
                 assert rel <= 1e-10
@@ -80,7 +68,7 @@ class TestBasisCache:
             for i in range(7):
                 for family, M in (("shifted", S), ("laplacian", L)):
                     dense = matrix_power(M, i) @ X
-                    block = gsc_combine(cache, unit_spec(family, i))
+                    block = gsc_combine(cache, *unit_filter(family, i))
                     rel = np.linalg.norm(block - dense) \
                         / max(np.linalg.norm(dense), 1e-30)
                     assert rel <= 1e-10
@@ -118,28 +106,28 @@ class TestGscCombine:
         g = build_csr(K2_EDGES, 2)
         X = rng.normal(size=(2, 3))
         cache = build_basis_cache(g, X, 0)
-        Z = gsc_combine(cache, FilterSpec(alpha=[1.0]))
+        Z = gsc_combine(cache, [1.0], [])
         assert np.array_equal(Z, X)
 
     def test_operators_cancel_to_3x(self):
         # I + (2I-L) + L = 3I
         g = build_csr(K2_EDGES, 2)
         cache = build_basis_cache(g, np.array([1.0, 0.0]), 1)
-        Z = gsc_combine(cache, FilterSpec(alpha=[1.0, 1.0], beta=[0.0, 1.0]))
+        Z = gsc_combine(cache, [1.0, 1.0], [0.0, 1.0])
         assert np.allclose(Z, [3.0, 0.0])
 
     def test_p3_cancellation(self):
         g = build_csr(P3_EDGES, 3)
         e1 = np.array([0.0, 1.0, 0.0])
         cache = build_basis_cache(g, e1, 1)
-        Z = gsc_combine(cache, FilterSpec(alpha=[0.0, 1.0], beta=[0.0, 1.0]))
+        Z = gsc_combine(cache, [0.0, 1.0], [0.0, 1.0])
         assert np.allclose(Z, 2.0 * e1)
 
     def test_degree_mismatch_rejected(self):
         g = build_csr(K2_EDGES, 2)
         cache = build_basis_cache(g, np.zeros((2, 1)), 1)
         with pytest.raises(InputError):
-            gsc_combine(cache, FilterSpec(alpha=[1.0, 1.0, 1.0]))
+            gsc_combine(cache, [1.0, 1.0, 1.0], [])
 
     def test_linear_in_coefficients(self, rng):
         n = 15
@@ -149,16 +137,16 @@ class TestGscCombine:
         a1, b1 = rng.normal(size=4), rng.normal(size=4)
         a2, b2 = rng.normal(size=4), rng.normal(size=4)
         s, t = 1.3, -0.7
-        lhs = gsc_combine(cache, FilterSpec(s * a1 + t * a2, s * b1 + t * b2))
-        rhs = s * gsc_combine(cache, FilterSpec(a1, b1)) \
-            + t * gsc_combine(cache, FilterSpec(a2, b2))
+        lhs = gsc_combine(cache, s * a1 + t * a2, s * b1 + t * b2)
+        rhs = s * gsc_combine(cache, a1, b1) \
+            + t * gsc_combine(cache, a2, b2)
         assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_empty_family_supported(self, rng):
         g = build_csr(K2_EDGES, 2)
         X = rng.normal(size=(2, 2))
         cache = build_basis_cache(g, X, 2)
-        Z = gsc_combine(cache, FilterSpec(beta=[1.0, 0.5, 0.25]))
+        Z = gsc_combine(cache, [], [1.0, 0.5, 0.25])
         expected = X + 0.5 * laplacian_apply(g, X) \
             + 0.25 * laplacian_apply(g, laplacian_apply(g, X))
         assert np.allclose(Z, expected)

@@ -120,9 +120,14 @@ class TestTrainCommand:
         {"threads": 1.5},
         {"threads": True},
         {"seeds": [-1]},
+        {"train": {**TINY["train"], "lr_linear": float("nan")}},
+        {"train": {**TINY["train"], "lr_prop": float("inf")}},
+        {"train": {**TINY["train"], "weight_decay": -1.0}},
+        {"train": {**TINY["train"], "weight_decay": float("nan")}},
     ], ids=["dataset-string", "k1-string", "k2-float", "gcn-depth-float",
             "epochs-float", "patience-bool", "jknet-degree-0", "threads-float",
-            "threads-bool", "seed-negative"])
+            "threads-bool", "seed-negative", "lr-nan", "lr-inf",
+            "decay-negative", "decay-nan"])
     def test_mistyped_value_exits_2_before_any_draw(
             self, tmp_path, capsys, no_draw, override):
         out = tmp_path / "runs"

@@ -27,6 +27,15 @@ def unused_imports(source: str) -> list:
                   if name not in read)
 
 
+def private_sibling_imports(source: str) -> list:
+    """Underscore names a package module imports from a sibling module
+    (``from .x import _name``): a module's private names are its own."""
+    return sorted((node.lineno, node.module, alias.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names if alias.name.startswith("_"))
+
+
 def test_finds_an_unused_import():
     source = "import math\nimport os\nfrom json import dumps, loads\n" \
              "os.getcwd()\nloads('1')\n"
@@ -40,4 +49,20 @@ def test_no_unused_module_import():
             unused = unused_imports(f.read())
         if unused:
             found[os.path.relpath(path, ROOT)] = unused
+    assert found == {}
+
+
+def test_finds_a_private_sibling_import():
+    source = "from . import graph\nfrom .model import _is_int, forward\n" \
+             "from os import _exit\n"
+    assert private_sibling_imports(source) == [(2, "model", "_is_int")]
+
+
+def test_no_private_sibling_import():
+    found = {}
+    for path in glob.glob(os.path.join(ROOT, "src", "gscnet", "*.py")):
+        with open(path, encoding="utf-8") as f:
+            private = private_sibling_imports(f.read())
+        if private:
+            found[os.path.relpath(path, ROOT)] = private
     assert found == {}

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import sys
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 
 from gscnet.data import csbm_generate, CsbmParams, random_split
 from gscnet.errors import InputError
-from gscnet import graph, verify
+from gscnet import graph, model, verify
 from gscnet.graph import build_csr, permute_graph
-from gscnet.model import (ARCHITECTURES, AdamState, TrainConfig, _propagate,
-                          accuracy, adam_step, forward, init_params,
-                          loss_and_grad, predict, softmax_cross_entropy)
+from gscnet.model import (ARCHITECTURES, AdamState, TrainConfig, accuracy,
+                          adam_step, forward, init_params, loss_and_grad,
+                          predict, propagation, softmax_cross_entropy)
 from gscnet.suite import _gradcheck_instance, random_connected_graph
 from gscnet.train import train_single
 from gscnet.basis import combine, operator_powers
@@ -58,7 +59,8 @@ class TestInit:
                                     ("JKNet", 3, 0, (3, 0)),
                                     ("BernNet", 3, 0, (4, 0))]:
             params = init_params(arch, 4, 2, k1, k2, seed=0)
-            assert (params.k1, params.k2) == (k1, k2)
+            assert (params.prop.k1, params.prop.k2) == (k1, k2)
+            assert (params.prop.na, params.prop.nb) == sizes
             assert (params.alpha.size, params.beta.size) == sizes
 
     def test_unknown_arch_rejected(self):
@@ -280,9 +282,9 @@ class TestGradients:
 
 
 class TestPropagationResponses:
-    """`_propagate`, the path training runs, against each architecture's
-    closed-form scalar response on the dense eigensystem: BernNet in L's
-    spectrum, GCN and JKNet in M's."""
+    """`Propagation.apply`, the path training runs, against each
+    architecture's closed-form scalar response on the dense eigensystem:
+    BernNet in L's spectrum, GCN and JKNet in M's."""
 
     @pytest.mark.parametrize("arch,K", [("GCN", 0), ("GCN", 4), ("JKNet", 1),
                                         ("JKNet", 6), ("BernNet", 0),
@@ -292,9 +294,8 @@ class TestPropagationResponses:
             n = int(rng.integers(4, 31))
             g = random_connected_graph(rng, n)
             X = rng.normal(size=(n, 3))
-            params = init_params(arch, 3, 3, K, 0, seed=0)
-            alpha = rng.normal(size=params.alpha.shape)
-            params.alpha[:] = alpha
+            prop = propagation(arch, K, 0)
+            alpha = rng.normal(size=prop.na)
             if arch == "BernNet":
                 eig = verify.dense_eigensystem(g)
 
@@ -308,16 +309,38 @@ class TestPropagationResponses:
                     if arch == "GCN":
                         return mu ** K
                     return sum(a * mu ** (k + 1) for k, a in enumerate(alpha))
-            Z, _ = _propagate(params, g, X)
+            Z, _ = prop.apply(alpha, g, X)
             oracle = verify.spectral_filter_oracle(eig, h, X)
             rel = np.linalg.norm(Z - oracle) \
                 / max(np.linalg.norm(oracle), 1e-30)
             assert rel <= 1e-8
 
 
+class TestPropagation:
+    def test_weight_map_is_read_only(self):
+        prop = propagation("GSCNet", 2, 2)
+        with pytest.raises(ValueError):
+            prop.W[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prop.W = np.eye(3)
+        assert propagation("JKNet", 3, 0).W.flags.writeable is False
+
+    def test_run_builds_weight_map_once(self, monkeypatch):
+        calls = []
+
+        def counted(k1, k2, _real=model.gsc_weights):
+            calls.append((k1, k2))
+            return _real(k1, k2)
+        monkeypatch.setattr(model, "gsc_weights", counted)
+        ds = csbm_generate(CsbmParams(n=60, d=6, seed=3))
+        train_single(ds, random_split(ds.n, seed=3), "GSCNet", 2, 1,
+                     TrainConfig(epochs=10, patience=10))
+        assert calls == [(2, 1)]
+
+
 def gcn_propagate(g, X, depth):
     """GCN's propagation M^depth X, as training runs it."""
-    return _propagate(init_params("GCN", 1, 1, depth, 0, seed=0), g, X)[0]
+    return propagation("GCN", depth, 0).apply(np.zeros(0), g, X)[0]
 
 
 class TestGcnPropagation:
@@ -349,11 +372,9 @@ class TestGcnPropagation:
         X = rng.normal(size=(n, 3))
         powers = operator_powers(graph.gcn_norm_apply, g, X, K)
         assert gcn_propagate(g, X, K).tobytes() == powers[-1].tobytes()
-        params = init_params("JKNet", 1, 1, K, 0, seed=0)
-        params.alpha[:] = rng.normal(size=K)
-        Z, _ = _propagate(params, g, X)
-        assert Z.tobytes() == \
-            combine(powers[1:], params.alpha).tobytes()
+        alpha = rng.normal(size=K)
+        Z, _ = propagation("JKNet", K, 0).apply(alpha, g, X)
+        assert Z.tobytes() == combine(powers[1:], alpha).tobytes()
 
 
 def applies_per_pass(arch, k1, k2):

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from gscnet import verify
-from gscnet.basis import FilterSpec, build_basis_cache, gsc_combine
+from gscnet.basis import build_basis_cache, gsc_combine
 from gscnet.errors import InputError, SizeGuardError
 from gscnet.graph import build_csr
-from gscnet.suite import unit_spec
 from gscnet.verify import (dense_eigensystem, dense_laplacian,
                            dense_matrix_power, dense_shifted,
                            finite_difference_gradient, polynomial_response,
                            spectral_filter_oracle, symmetric_eigensystem)
 
-from conftest import K2_EDGES, P3_EDGES, TRIANGLE_EDGES, er_edges
+from conftest import K2_EDGES, P3_EDGES, TRIANGLE_EDGES, er_edges, \
+    unit_filter
 
 
 class TestDenseEigensystem:
@@ -56,6 +56,12 @@ class TestDenseEigensystem:
         with pytest.raises(InputError):
             symmetric_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("A", [5.0, np.zeros(3), np.zeros((2, 3))],
+                             ids=["0-d", "1-d", "2x3"])
+    def test_non_square_rejected(self, A):
+        with pytest.raises(InputError):
+            symmetric_eigensystem(A)
+
     def test_dense_laplacian_exactly_symmetric(self, rng):
         n = 30
         g = build_csr(er_edges(rng, n, 0.3), n)
@@ -80,11 +86,11 @@ class TestSpectralFilterOracle:
         n = 40
         g = build_csr(er_edges(rng, n, 0.2), n)
         eig = dense_eigensystem(g)
-        spec = FilterSpec(alpha=rng.normal(size=4), beta=rng.normal(size=3))
+        alpha, beta = rng.normal(size=4), rng.normal(size=3)
         x = rng.normal(size=n)
-        sparse = gsc_combine(build_basis_cache(g, x, 3), spec)
+        sparse = gsc_combine(build_basis_cache(g, x, 3), alpha, beta)
         oracle = spectral_filter_oracle(
-            eig, polynomial_response(spec.alpha, spec.beta), x)
+            eig, polynomial_response(alpha, beta), x)
         rel = np.linalg.norm(sparse - oracle) / max(np.linalg.norm(oracle), 1e-30)
         assert rel <= 1e-8
 
@@ -104,7 +110,7 @@ class TestDenseMatrixPower:
         g = build_csr(P3_EDGES, 3)
         M = dense_matrix_power(dense_shifted(g), 3)
         cache = build_basis_cache(g, np.eye(3), 3)
-        block = gsc_combine(cache, unit_spec("shifted", 3))
+        block = gsc_combine(cache, *unit_filter("shifted", 3))
         assert np.abs(M - block).max() <= 1e-10
 
 
