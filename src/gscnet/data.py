@@ -1,10 +1,11 @@
 """Dataset ingestion, split management and contextual-SBM generation.
 
-File layout (auditable text formats, no binaries):
+File layout (auditable text formats, no binaries), owned by this module:
   edges     `u v` per line, 0-indexed, `#` comments, undirected edges
             listed once or twice;
   features  comma-separated floats, one row per node;
   labels    one integer per line.
+Blank lines carry no row. One table reader parses all three files.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DataError, DegenerateInputError, InputError
-from .graph import SparseGraph, build_csr, num_components, read_edge_list, \
-    read_text_values, write_edge_list
+from .graph import SparseGraph, build_csr, num_components
+from .model import is_int, is_real
 from .pnca import label_smoothness
 
 
@@ -107,6 +109,10 @@ class CsbmParams:
     seed: int = 0
 
     def __post_init__(self):
+        if not (all(map(is_int, (self.n, self.d, self.seed))) and all(map(
+                is_real, (self.p_intra, self.p_inter, self.mu, self.sigma)))):
+            raise InputError("CSBM n, d and seed must be integers and the "
+                             f"other fields real numbers, got {self}")
         if self.n < 4 or self.n % 2:
             raise InputError(f"CSBM needs an even n >= 4, got {self.n}")
         for name, p in (("p_intra", self.p_intra), ("p_inter", self.p_inter)):
@@ -144,7 +150,12 @@ def csbm_params_for(regime: str, n: int = 1000, d: int = 16, mu: float = 1.0,
 
 
 # Pairs whose Bernoulli uniforms are drawn per rng.random call. PCG64 yields
-# the same doubles in chunks as in one call, so this bounds memory only.
+# the same doubles in chunks as in one call, so the size never changes a
+# graph; but it sets more than memory. Freeing an 8 MB chunk raises glibc's
+# dynamic mmap threshold, so training's later 2.5 MB arrays reuse heap
+# pages. With 2^16 pairs, a 4-seed n=5000 `cmd_train` peaked about 8% lower
+# but took 0.1-0.3 M page faults per run (at most 2 k with 2^20) and ran
+# slower; one 8 MB allocate-and-free at start removed those faults.
 PAIR_CHUNK = 1 << 20
 
 
@@ -213,79 +224,97 @@ def csbm_generate(params: CsbmParams) -> Dataset:
                    num_classes=2)
 
 
+def _read_table(path, name: str, convert, invalid, message: str, sep=None,
+                width=None, comment=None) -> np.ndarray:
+    """The rows of a dataset file as one (rows, width) array.
+
+    Blank lines and ``comment`` lines carry no row. A row is a line split
+    on ``sep`` (None: whitespace) into ``width`` fields (None: the first
+    row's), each streamed through ``convert`` into ``np.fromiter``; a
+    `DataError` names a line that does not. Then ``invalid(rows)`` flags
+    bad rows on the whole array, and only if it flags one is the file read
+    again, to name that row's line."""
+    def data_lines(f):
+        for number, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if line and not (comment and line.startswith(comment)):
+                yield number, line
+
+    lineno = 0  # the line whose values np.fromiter is taking
+
+    def rows(lines):
+        nonlocal width, lineno
+        for lineno, line in lines:
+            parts = line.split(sep)
+            width = width or len(parts)
+            if len(parts) != width:
+                raise DataError(f"{name} line has {len(parts)} fields, "
+                                f"expected {width}", path, lineno)
+            try:
+                values = list(map(convert, parts))
+            except ValueError:
+                raise DataError(f"unparseable {name} line", path, lineno)
+            yield values
+
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            values = np.fromiter(
+                itertools.chain.from_iterable(rows(data_lines(f))),
+                dtype=np.int64 if convert is int else np.float64)
+    except OSError as exc:
+        raise DataError(f"cannot read {name} file: {exc}", path)
+    except OverflowError:
+        raise DataError(f"{name} value out of range", path, lineno)
+    table = values.reshape(-1, width or 1)  # width is None without rows
+    bad = invalid(table)
+    if bad.any():
+        with open(path, "r", encoding="utf-8") as f:
+            lineno, _ = next(itertools.islice(data_lines(f),
+                                              int(np.argmax(bad)), None))
+        raise DataError(message, path, lineno)
+    return table
+
+
+def read_edge_list(path, n: int | None = None) -> np.ndarray:
+    """The (m, 2) int64 array of a `u v` per line edge file, endpoints in
+    [0, n); an undirected edge may be listed once or twice (build_csr
+    dedups)."""
+    return _read_table(
+        path, "edge", int,
+        lambda e: ((e < 0) | (n is not None and e >= n)).any(axis=1),
+        "edge endpoint out of range", width=2, comment="#")
+
+
+def write_edge_list(path, g: SparseGraph):
+    """Write each undirected edge once (u <= v), in row-major order."""
+    upper = scipy.sparse.triu(g.adjacency, format="coo")
+    np.savetxt(path, np.column_stack([upper.row, upper.col]), fmt="%d",
+               encoding="utf-8")
+
+
 def load_dataset(edge_path, feature_path, label_path) -> Dataset:
     """Load the three-file layout, validating row counts and label range."""
-    features = _read_features(feature_path)
+    features = _read_table(feature_path, "feature", float,
+                           lambda x: ~np.isfinite(x).all(axis=1),
+                           "feature row contains NaN/Inf", sep=",")
+    if not features.size:
+        raise DataError("feature file is empty", feature_path)
     n = features.shape[0]
-    labels = _read_labels(label_path)
+    labels = _read_table(label_path, "label", int, lambda y: y[:, 0] < 0,
+                         "negative label", width=1).ravel()
+    if not labels.size:
+        raise DataError("label file is empty", label_path)
     if labels.shape[0] != n:
         raise DataError(
             f"label count {labels.shape[0]} != feature rows {n}", label_path)
-    edges = read_edge_list(edge_path, n=n)
-    graph = build_csr(edges, n)
-    num_classes = int(labels.max()) + 1 if n else 0
+    graph = build_csr(read_edge_list(edge_path, n=n), n)
     return Dataset(graph=graph, features=features, labels=labels,
-                   num_classes=num_classes)
+                   num_classes=int(labels.max()) + 1)
 
 
 def save_dataset(ds: Dataset, edge_path, feature_path, label_path):
     write_edge_list(edge_path, ds.graph)
     with open(feature_path, "w", encoding="utf-8") as f:
-        for row in ds.features:
-            f.write(",".join(repr(float(x)) for x in row) + "\n")
-    with open(label_path, "w", encoding="utf-8") as f:
-        for y in ds.labels:
-            f.write(f"{int(y)}\n")
-
-
-def _read_features(path) -> np.ndarray:
-    width = None
-
-    def parse(line, lineno):
-        nonlocal width
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError:
-            raise DataError("unparseable feature row", path, lineno)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataError(
-                f"feature row has {len(row)} columns, expected {width}",
-                path, lineno)
-        return row
-
-    values = read_text_values(path, "feature", parse, np.float64)
-    if width is None:
-        raise DataError("feature file is empty", path)
-    finite = np.isfinite(values)
-    if not finite.all():
-        row = int(np.argmin(finite)) // width
-        raise DataError("feature row contains NaN/Inf", path,
-                        _line_of_row(path, row))
-    return values.reshape(-1, width)
-
-
-def _line_of_row(path, row: int) -> int:
-    """Line number of data row ``row`` (0-based) of a file whose blank lines
-    carry no row."""
-    with open(path, "r", encoding="utf-8") as f:
-        data_lines = (lineno for lineno, raw in enumerate(f, start=1)
-                      if raw.strip())
-        return next(itertools.islice(data_lines, row, None))
-
-
-def _read_labels(path) -> np.ndarray:
-    def parse(line, lineno):
-        try:
-            y = int(line)
-        except ValueError:
-            raise DataError(f"unparseable label {line!r}", path, lineno)
-        if y < 0:
-            raise DataError(f"label {y} out of range", path, lineno)
-        return (y,)
-
-    labels = read_text_values(path, "label", parse, np.int64)
-    if not labels.size:
-        raise DataError("label file is empty", path)
-    return labels
+        f.writelines(",".join(map(repr, row.tolist())) + "\n"
+                     for row in ds.features)
+    np.savetxt(label_path, ds.labels, fmt="%d", encoding="utf-8")

@@ -23,14 +23,13 @@ M keeps its diagonal entry 1 at an isolated node.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
-from .errors import DataError, InputError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -198,51 +197,3 @@ def num_components(g: SparseGraph) -> int:
         return 0
     return int(connected_components(g).max()) + 1
 
-
-def read_text_values(path, label: str, parse, dtype,
-                     comment: str | None = None) -> np.ndarray:
-    """Stream the values of a line-oriented text file into one flat array.
-
-    ``parse(line, lineno)`` turns each stripped, non-blank line (and, with
-    ``comment``, each line not starting with it) into a short sequence of
-    values or raises a ``DataError`` for that line. The values go straight
-    into ``np.fromiter``, so no Python object per value outlives its line.
-    """
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {label} file: {exc}", path)
-    with f:
-        lines = enumerate((raw.strip() for raw in f), start=1)
-        rows = (parse(line, lineno) for lineno, line in lines
-                if line and not (comment and line.startswith(comment)))
-        return np.fromiter(itertools.chain.from_iterable(rows), dtype=dtype)
-
-
-def read_edge_list(path, n: int | None = None) -> np.ndarray:
-    """Parse a `u v` per line edge file into an (m, 2) int64 array; `#`
-    lines and blank lines skipped.
-
-    Undirected edges may be listed once or twice (build_csr dedups).
-    """
-    def parse(line, lineno):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"expected 'u v', got {line!r}", path, lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataError(f"non-integer endpoint in {line!r}", path, lineno)
-        if u < 0 or v < 0 or (n is not None and (u >= n or v >= n)):
-            raise DataError(f"edge ({u}, {v}) out of range", path, lineno)
-        return u, v
-
-    return read_text_values(path, "edge", parse, np.int64,
-                            comment="#").reshape(-1, 2)
-
-
-def write_edge_list(path, g: SparseGraph):
-    """Write each undirected edge once (u <= v), in row-major order."""
-    upper = scipy.sparse.triu(g.adjacency, format="coo")
-    np.savetxt(path, np.column_stack([upper.row, upper.col]), fmt="%d",
-               encoding="utf-8")

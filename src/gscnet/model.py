@@ -24,6 +24,7 @@ train time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ def is_int(value) -> bool:  # a bool is an int to Python, but not here
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:  # nor is it a real number here
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     lr_linear: float = 0.01
@@ -53,21 +58,19 @@ class TrainConfig:
     patience: int = 200
 
     def __post_init__(self):
+        rates = (self.lr_linear, self.lr_prop, self.weight_decay,
+                 self.dropout_conv, self.dropout_linear)
         # A comparison with NaN is False, so these reject NaN too.
-        if not (0 < self.lr_linear < math.inf and 0 < self.lr_prop < math.inf
-                and 0 <= self.weight_decay < math.inf):
-            raise InputError("learning rates must be finite and > 0 and "
-                             "weight_decay finite and >= 0, got "
-                             f"{self.lr_linear!r}, {self.lr_prop!r}, "
-                             f"{self.weight_decay!r}")
-        for p in (self.dropout_conv, self.dropout_linear):
-            if not 0.0 <= p < 1.0:
-                raise InputError(f"dropout must be in [0, 1), got {p}")
-        if not (is_int(self.epochs) and is_int(self.patience)) \
-                or self.epochs < 0 or self.patience < 0:
-            raise InputError("epochs and patience must be non-negative "
-                             f"integers, got {self.epochs!r}, "
-                             f"{self.patience!r}")
+        if not (all(is_real(x) and 0 <= x < math.inf for x in rates)
+                and self.lr_linear > 0 and self.lr_prop > 0
+                and self.dropout_conv < 1 and self.dropout_linear < 1):
+            raise InputError("learning rates must be finite and > 0, "
+                             "weight_decay finite and >= 0 and dropout in "
+                             f"[0, 1), got {rates!r}")
+        counts = (self.epochs, self.patience, self.seed)
+        if not all(is_int(k) and k >= 0 for k in counts):
+            raise InputError("epochs, patience and seed must be non-negative "
+                             f"integers, got {counts!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from gscnet import experiments, suite
+from gscnet import cli, experiments, suite
 from gscnet.cli import build_parser, main
-from gscnet.data import csbm_params_for
+from gscnet.data import CsbmParams, csbm_params_for
+from gscnet.errors import InputError
 from gscnet.experiments import ExperimentConfig, make_dataset
+from gscnet.model import TrainConfig
 from test_acceptance import CONFIG_DIR, PROTOCOLS
 
 TINY = {"dataset": {"kind": "csbm", "n": 80, "d": 6, "p_intra": 0.3,
@@ -124,10 +127,22 @@ class TestTrainCommand:
         {"train": {**TINY["train"], "lr_prop": float("inf")}},
         {"train": {**TINY["train"], "weight_decay": -1.0}},
         {"train": {**TINY["train"], "weight_decay": float("nan")}},
+        {"train": {**TINY["train"], "lr_linear": True}},
+        {"train": {**TINY["train"], "lr_prop": True}},
+        {"train": {**TINY["train"], "weight_decay": True}},
+        {"train": {**TINY["train"], "dropout_conv": False}},
+        {"train": {**TINY["train"], "dropout_linear": False}},
+        {"dataset": {**TINY["dataset"], "d": 16.0}},
+        {"dataset": {**TINY["dataset"], "n": 200.0}},
+        {"dataset": {**TINY["dataset"], "sigma": True}},
+        {"dataset": {**TINY["dataset"], "p_intra": True}},
     ], ids=["dataset-string", "k1-string", "k2-float", "gcn-depth-float",
             "epochs-float", "patience-bool", "jknet-degree-0", "threads-float",
             "threads-bool", "seed-negative", "lr-nan", "lr-inf",
-            "decay-negative", "decay-nan"])
+            "decay-negative", "decay-nan", "lr-linear-bool", "lr-prop-bool",
+            "decay-bool", "dropout-conv-bool", "dropout-linear-bool",
+            "csbm-d-float", "csbm-n-float", "csbm-sigma-bool",
+            "csbm-p-intra-bool"])
     def test_mistyped_value_exits_2_before_any_draw(
             self, tmp_path, capsys, no_draw, override):
         out = tmp_path / "runs"
@@ -391,6 +406,28 @@ class TestDatasetCommands:
                      "--out-dir", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_integer_size_exits_2_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, no_draw, command):
+        # csbm-gen draws through cli's own import; no_draw has replaced
+        # experiments.csbm_generate by then.
+        monkeypatch.setattr(cli, "csbm_generate", experiments.csbm_generate)
+        cfg = {"dataset": {**TINY["dataset"], "n": 200.0}}
+        out = tmp_path / "runs"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cls,name", [
+    (cls, f.name) for cls in (TrainConfig, CsbmParams)
+    for f in dataclasses.fields(cls) if f.type in ("int", "float")])
+def test_numeric_field_rejects_bool(cls, name):
+    # JSON true must not pass as 1 (or false as 0) in any numeric field,
+    # including fields added later.
+    with pytest.raises(InputError):
+        cls(**{name: True})
 
 
 class TestVerifyCommand:

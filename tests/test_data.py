@@ -268,6 +268,29 @@ class TestLoaders:
             load_dataset(tmp_path / "e.txt", tmp_path / "x.csv",
                          tmp_path / "y.txt")
 
+    @pytest.mark.parametrize("name,text,line", [
+        ("e.txt", "# header\n\n0 1\n0 2\n", 4),
+        ("y.txt", "0\n\n-1\n", 3),
+        ("x.csv", "1.0,2.0\n\nnan,1.0\n", 3),
+        ("e.txt", "# header\n\n0 1\n1 99999999999999999999\n", 4),
+        ("y.txt", "0\n\n99999999999999999999\n", 3),
+    ], ids=["edge-out-of-range", "negative-label", "nan-feature",
+            "edge-int64-overflow", "label-int64-overflow"])
+    def test_value_error_names_line_after_skipped_lines(self, tmp_path, name,
+                                                        text, line):
+        # Range and finiteness are checked on the whole array, and the bad
+        # row's line is found by a second read that must skip the same
+        # lines; an int64 overflow is caught while its line is parsed.
+        (tmp_path / "e.txt").write_text("0 1\n")
+        (tmp_path / "x.csv").write_text("1.0,2.0\n3.0,4.0\n")
+        (tmp_path / "y.txt").write_text("0\n1\n")
+        (tmp_path / name).write_text(text)
+        with pytest.raises(DataError) as exc:
+            load_dataset(tmp_path / "e.txt", tmp_path / "x.csv",
+                         tmp_path / "y.txt")
+        assert exc.value.path == tmp_path / name
+        assert exc.value.line == line
+
     def test_unparseable_feature_reports_line(self, tmp_path):
         (tmp_path / "x.csv").write_text("1.0,2.0\n1.0,oops\n")
         (tmp_path / "y.txt").write_text("0\n0\n")

@@ -4,11 +4,11 @@ import threading
 import numpy as np
 import pytest
 
+from gscnet.data import read_edge_list, write_edge_list
 from gscnet.errors import DataError, InputError
 from gscnet.graph import (adjacency_apply, build_csr, connected_components,
                           gcn_norm_apply, laplacian_apply, num_components,
-                          permute_graph, read_edge_list, shifted_apply,
-                          write_edge_list)
+                          permute_graph, shifted_apply)
 from gscnet.verify import (dense_adjacency, dense_eigensystem,
                            dense_gcn_norm, dense_laplacian, dense_shifted)
 
