@@ -2,7 +2,7 @@
 
 File layout (auditable text formats, no binaries), owned by this module:
   edges     `u v` per line, 0-indexed, `#` comments, undirected edges
-            listed once or twice;
+            listed once or twice, no self-loops;
   features  comma-separated floats, one row per node;
   labels    one integer per line.
 Blank lines carry no row. One table reader parses all three files.
@@ -53,7 +53,6 @@ class Dataset:
 
     def stats(self) -> dict:
         out = {"nodes": self.n, "edges": self.graph.num_edges,
-               "self_loops": self.graph.num_self_loops,
                "features": self.d, "classes": self.num_classes,
                "components": num_components(self.graph)}
         try:
@@ -121,8 +120,9 @@ class CsbmParams:
         if self.p_intra == 0.0 and self.p_inter == 0.0:
             raise DegenerateInputError("both edge probabilities are 0; "
                                        "the graph would be empty")
-        if self.sigma < 0:
-            raise InputError(f"sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and 0 <= self.sigma < math.inf):
+            raise InputError("mu must be finite and sigma finite and >= 0, "
+                             f"got mu={self.mu}, sigma={self.sigma}")
         if self.d < 1:
             raise InputError(f"feature dimension must be >= 1, got {self.d}")
 
@@ -138,6 +138,9 @@ def csbm_params_for(regime: str, n: int = 1000, d: int = 16, mu: float = 1.0,
     """Presets: edge probabilities solved from the expected degree and an
     intra/inter ratio of 4 (homophily) or 1/4 (heterophily)."""
     ratios = {"homophily": 4.0, "heterophily": 0.25}
+    if not is_real(expected_degree):
+        raise InputError("expected_degree must be a real number, got "
+                         f"{expected_degree!r}")
     if regime not in ratios:
         raise InputError(f"unknown CSBM regime {regime!r}; "
                          f"expected one of {sorted(ratios)}")
@@ -167,15 +170,16 @@ def _triu_pairs(t: np.ndarray, m: int):
     return row, t - starts[row] + row + 1
 
 
-def _block_edges(rng, rows, cols, p: float, upper_only: bool):
+def block_edges(rng, rows, cols, p: float, upper_only: bool):
     """Bernoulli(p) edges between two node id ranges.
 
     Pairs are taken in row-major order (the upper triangle when
-    upper_only) and kept when their uniform draw is below p."""
-    if p <= 0.0:
-        return np.zeros((0, 2), dtype=np.int64)
+    upper_only) and kept when their uniform draw is below p; no uniform
+    is drawn at p <= 0 or p >= 1."""
     m, m2 = len(rows), len(cols)
     total = m * (m - 1) // 2 if upper_only else m * m2
+    if p <= 0.0 or total == 0:
+        return np.zeros((0, 2), dtype=np.int64)
     if p >= 1.0:
         kept = np.arange(total)
     else:
@@ -207,9 +211,9 @@ def csbm_generate(params: CsbmParams) -> Dataset:
     block1 = np.arange(half, params.n)
 
     edges = np.concatenate([
-        _block_edges(rng, block0, block0, params.p_intra, upper_only=True),
-        _block_edges(rng, block1, block1, params.p_intra, upper_only=True),
-        _block_edges(rng, block0, block1, params.p_inter, upper_only=False),
+        block_edges(rng, block0, block0, params.p_intra, upper_only=True),
+        block_edges(rng, block1, block1, params.p_intra, upper_only=True),
+        block_edges(rng, block0, block1, params.p_inter, upper_only=False),
     ], axis=0)
     graph = build_csr(edges, params.n)
 
@@ -277,12 +281,14 @@ def _read_table(path, name: str, convert, invalid, message: str, sep=None,
 
 def read_edge_list(path, n: int | None = None) -> np.ndarray:
     """The (m, 2) int64 array of a `u v` per line edge file, endpoints in
-    [0, n); an undirected edge may be listed once or twice (build_csr
-    dedups)."""
+    [0, n) and u != v; an undirected edge may be listed once or twice
+    (build_csr dedups)."""
     return _read_table(
         path, "edge", int,
-        lambda e: ((e < 0) | (n is not None and e >= n)).any(axis=1),
-        "edge endpoint out of range", width=2, comment="#")
+        lambda e: ((e < 0) | (n is not None and e >= n)).any(axis=1)
+        | (e[:, 0] == e[:, 1]),
+        "edge is a self-loop or has an endpoint out of range", width=2,
+        comment="#")
 
 
 def write_edge_list(path, g: SparseGraph):

@@ -37,16 +37,20 @@ class SparseGraph:
     """Undirected, unweighted graph as its CSR adjacency A.
 
     A has unit weights, int64 indices, column indices sorted within each
-    row and no duplicates; edge (u, v) is stored in both rows (a self-loop
-    is stored once). Its arrays are read-only. ``degrees[i]`` equals the
-    number of stored neighbors of node i, as a float.
+    row and no duplicates; edge (u, v) is stored in both rows. A holds no
+    self-loop, since each operator adds its own diagonal: a stored one
+    raises `InputError`. Its arrays are read-only. ``degrees[i]`` equals
+    the number of neighbors of node i, as a float.
     """
 
     adjacency: scipy.sparse.csr_array
 
     def __post_init__(self):
-        # scipy picks int32 indices for an empty graph; keep int64 always.
         A = self.adjacency
+        loops = np.flatnonzero(A.diagonal())
+        if loops.size:
+            raise InputError(f"self-loop at node {loops[0]}")
+        # scipy picks int32 indices for an empty graph; keep int64 always.
         A.indices = A.indices.astype(np.int64, copy=False)
         A.indptr = A.indptr.astype(np.int64, copy=False)
         for a in (A.data, A.indices, A.indptr):
@@ -66,14 +70,9 @@ class SparseGraph:
         degrees.flags.writeable = False
         return degrees
 
-    @cached_property
-    def num_self_loops(self) -> int:
-        return int(np.count_nonzero(self.adjacency.diagonal()))
-
-    @cached_property
+    @property
     def num_edges(self) -> int:
-        """Undirected edge count; each self-loop counts once."""
-        return (self.nnz + self.num_self_loops) // 2
+        return self.nnz // 2
 
     def neighbors(self, i: int) -> np.ndarray:
         A = self.adjacency
@@ -90,11 +89,7 @@ class SparseGraph:
 
     @cached_property
     def gcn_operator(self) -> scipy.sparse.csr_array:
-        """M = D_hat^{-1/2} (A + I) D_hat^{-1/2} with D_hat = D + I.
-
-        The self-loop is stored on the diagonal. The input graph is
-        expected to be loop-free: a stored loop adds to it, giving 2.
-        """
+        """M = D_hat^{-1/2} (A + I) D_hat^{-1/2} with D_hat = D + I."""
         A_hat = self.adjacency + scipy.sparse.eye_array(self.n, format="csr")
         return _symmetric_scaled(A_hat, 1.0 / np.sqrt(self.degrees + 1.0))
 
@@ -112,8 +107,7 @@ def build_csr(edges, n: int) -> SparseGraph:
 
     ``edges`` is an (m, 2) array-like of (u, v) pairs; each pair is
     mirrored, and duplicates (including pre-mirrored inputs) collapse to
-    one stored entry per direction. Self-loops in the input are preserved
-    exactly once.
+    one stored entry per direction. A self-loop raises `InputError`.
     """
     if n < 0:
         raise InputError(f"node count must be non-negative, got {n}")

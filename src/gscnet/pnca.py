@@ -56,11 +56,10 @@ def classify_graph_activation(T, g: SparseGraph) -> ActivationClass:
     pattern.
 
     Positive requires strictly positive entries on every edge and on the
-    diagonal (the definition is stated on the self-looped graph; the
-    diagonal is treated as the self-loop set whether or not loops are
-    stored) and non-negative entries everywhere else. Powers and
-    non-negative mixtures of edge-patterned matrices spread support to
-    multi-hop pairs, which is why off-edge entries must only be >= 0.
+    diagonal (the definition is stated on the self-looped graph A + I)
+    and non-negative entries everywhere else. Powers and non-negative
+    mixtures of edge-patterned matrices spread support to multi-hop
+    pairs, which is why off-edge entries must only be >= 0.
 
     The witness is the first violating entry in row-major order. Entries
     not stored in a sparse T are zero; the check visits only the stored
@@ -121,14 +120,14 @@ def positive_combination_check(coeffs, g: SparseGraph) -> ActivationClass:
 def label_smoothness(g: SparseGraph, labels) -> float:
     """Fraction of undirected edges joining differently-labeled endpoints.
 
-    Each edge counts once; self-loops are excluded (they never cross)."""
+    Each edge counts once."""
     labels = np.asarray(labels)
     if labels.shape != (g.n,):
         raise InputError(f"expected {g.n} labels, got shape {labels.shape}")
-    upper = scipy.sparse.triu(g.adjacency, k=1, format="coo")
+    upper = scipy.sparse.triu(g.adjacency, format="coo")
     if upper.nnz == 0:
         raise DegenerateInputError("label smoothness undefined: the graph "
-                                   "has no non-loop edges")
+                                   "has no edges")
     cross = labels[upper.row] != labels[upper.col]
     return float(np.count_nonzero(cross)) / upper.nnz
 

@@ -12,24 +12,23 @@ import numpy as np
 
 from . import pnca, verify
 from .basis import build_basis_cache, gsc_combine
+from .data import block_edges
 from .graph import SparseGraph, build_csr, laplacian_apply, shifted_apply
 from .model import TrainConfig, init_params, loss_and_grad, propagation
 
 
 def er_graph(rng, n: int, p: float) -> SparseGraph:
     """Erdos-Renyi G(n, p), loop-free."""
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < p
-    return build_csr(np.stack([iu[keep], ju[keep]], axis=1), n)
+    nodes = np.arange(n)
+    return build_csr(block_edges(rng, nodes, nodes, p, upper_only=True), n)
 
 
 def random_connected_graph(rng, n: int, extra_p: float = 0.1) -> SparseGraph:
     """Random recursive tree plus ER(extra_p) edges; connected by build."""
-    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < extra_p
-    edges.extend(zip(iu[keep].tolist(), ju[keep].tolist()))
-    return build_csr(edges, n)
+    tree = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    nodes = np.arange(n)
+    extra = block_edges(rng, nodes, nodes, extra_p, upper_only=True)
+    return build_csr(tree + extra.tolist(), n)
 
 
 def gscnet_filter(g: SparseGraph, X, alpha, beta) -> np.ndarray:

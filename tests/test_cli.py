@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -136,13 +138,18 @@ class TestTrainCommand:
         {"dataset": {**TINY["dataset"], "n": 200.0}},
         {"dataset": {**TINY["dataset"], "sigma": True}},
         {"dataset": {**TINY["dataset"], "p_intra": True}},
+        {"dataset": {**TINY["dataset"], "sigma": float("nan")}},
+        {"dataset": {**TINY["dataset"], "mu": float("inf")}},
+        {"dataset": {"kind": "csbm", "regime": "homophily", "n": 80,
+                     "expected_degree": True}},
     ], ids=["dataset-string", "k1-string", "k2-float", "gcn-depth-float",
             "epochs-float", "patience-bool", "jknet-degree-0", "threads-float",
             "threads-bool", "seed-negative", "lr-nan", "lr-inf",
             "decay-negative", "decay-nan", "lr-linear-bool", "lr-prop-bool",
             "decay-bool", "dropout-conv-bool", "dropout-linear-bool",
             "csbm-d-float", "csbm-n-float", "csbm-sigma-bool",
-            "csbm-p-intra-bool"])
+            "csbm-p-intra-bool", "csbm-sigma-nan", "csbm-mu-inf",
+            "regime-degree-bool"])
     def test_mistyped_value_exits_2_before_any_draw(
             self, tmp_path, capsys, no_draw, override):
         out = tmp_path / "runs"
@@ -384,6 +391,22 @@ class TestAnalyzeCommand:
         assert "NaN/Inf" in err
         assert f"{tmp_path / 'features.csv'}:{line}" in err
 
+    def test_self_loop_edge_exits_3(self, tmp_path, capsys):
+        # A comment and a blank line come first: the loop is on line 4.
+        (tmp_path / "edges.txt").write_text("# header\n\n0 1\n2 2\n1 2\n")
+        (tmp_path / "features.csv").write_text("0.5,1.0\n0.25,2.0\n1.5,0.0\n")
+        (tmp_path / "labels.txt").write_text("0\n1\n0\n")
+        cfg = {**TINY, "dataset": {
+            "kind": "files", "edges": str(tmp_path / "edges.txt"),
+            "features": str(tmp_path / "features.csv"),
+            "labels": str(tmp_path / "labels.txt")}}
+        rc = main(["train", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(tmp_path / "runs")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "self-loop" in err
+        assert f"{tmp_path / 'edges.txt'}:4" in err
+
 
 @pytest.mark.parametrize("command", ["csbm-gen", "analyze"])
 class TestDatasetCommands:
@@ -420,14 +443,22 @@ class TestDatasetCommands:
         assert not out.exists()
 
 
+def csbm_preset(**kwargs):
+    return csbm_params_for("homophily", **kwargs)
+
+
 @pytest.mark.parametrize("cls,name", [
     (cls, f.name) for cls in (TrainConfig, CsbmParams)
-    for f in dataclasses.fields(cls) if f.type in ("int", "float")])
+    for f in dataclasses.fields(cls) if f.type in ("int", "float")] + [
+    (csbm_preset, name) for name, p in
+    inspect.signature(csbm_params_for).parameters.items()
+    if p.annotation in ("int", "float")])
 def test_numeric_field_rejects_bool(cls, name):
-    # JSON true must not pass as 1 (or false as 0) in any numeric field,
-    # including fields added later.
-    with pytest.raises(InputError):
-        cls(**{name: True})
+    # JSON true must not pass as 1 (or false as 0) in any numeric config
+    # input, nor a NaN or an infinity, including inputs added later.
+    for value in (True, math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            cls(**{name: value})
 
 
 class TestVerifyCommand:

@@ -270,17 +270,18 @@ class TestLoaders:
 
     @pytest.mark.parametrize("name,text,line", [
         ("e.txt", "# header\n\n0 1\n0 2\n", 4),
+        ("e.txt", "# header\n\n0 1\n1 1\n", 4),
         ("y.txt", "0\n\n-1\n", 3),
         ("x.csv", "1.0,2.0\n\nnan,1.0\n", 3),
         ("e.txt", "# header\n\n0 1\n1 99999999999999999999\n", 4),
         ("y.txt", "0\n\n99999999999999999999\n", 3),
-    ], ids=["edge-out-of-range", "negative-label", "nan-feature",
-            "edge-int64-overflow", "label-int64-overflow"])
+    ], ids=["edge-out-of-range", "edge-self-loop", "negative-label",
+            "nan-feature", "edge-int64-overflow", "label-int64-overflow"])
     def test_value_error_names_line_after_skipped_lines(self, tmp_path, name,
                                                         text, line):
-        # Range and finiteness are checked on the whole array, and the bad
-        # row's line is found by a second read that must skip the same
-        # lines; an int64 overflow is caught while its line is parsed.
+        # Range, loops and finiteness are checked on the whole array, and
+        # the bad row's line is found by a second read that must skip the
+        # same lines; an int64 overflow is caught while its line is parsed.
         (tmp_path / "e.txt").write_text("0 1\n")
         (tmp_path / "x.csv").write_text("1.0,2.0\n3.0,4.0\n")
         (tmp_path / "y.txt").write_text("0\n1\n")
@@ -320,12 +321,3 @@ class TestDatasetInvariants:
         assert stats["nodes"] == 50
         assert 0.0 <= stats["label_smoothness"] <= 1.0
         assert stats["components"] >= 1
-
-    def test_stats_reports_self_loops(self, tmp_path):
-        (tmp_path / "e.txt").write_text("0 1\n2 2\n1 2\n")
-        (tmp_path / "x.csv").write_text("1.0\n2.0\n3.0\n")
-        (tmp_path / "y.txt").write_text("0\n1\n0\n")
-        ds = load_dataset(tmp_path / "e.txt", tmp_path / "x.csv",
-                          tmp_path / "y.txt")
-        assert ds.stats()["self_loops"] == 1
-        assert csbm_generate(CsbmParams(n=50, d=3)).stats()["self_loops"] == 0

@@ -3,12 +3,14 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gscnet.data import read_edge_list, write_edge_list
 from gscnet.errors import DataError, InputError
-from gscnet.graph import (adjacency_apply, build_csr, connected_components,
-                          gcn_norm_apply, laplacian_apply, num_components,
-                          permute_graph, shifted_apply)
+from gscnet.graph import (SparseGraph, adjacency_apply, build_csr,
+                          connected_components, gcn_norm_apply,
+                          laplacian_apply, num_components, permute_graph,
+                          shifted_apply)
 from gscnet.verify import (dense_adjacency, dense_eigensystem,
                            dense_gcn_norm, dense_laplacian, dense_shifted)
 
@@ -36,11 +38,15 @@ class TestBuildCsr:
         assert np.array_equal(g.degrees, [1.0, 2.0, 1.0])
         assert np.array_equal(g.neighbors(1), [0, 2])
 
-    def test_self_loop_kept_once(self):
-        g = build_csr([(0, 0), (0, 1)], 2)
-        assert np.array_equal(g.neighbors(0), [0, 1])
-        assert g.num_self_loops == 1
-        assert g.num_edges == 2
+    def test_self_loop_rejected(self):
+        # Every operator adds its own diagonal, so a graph stores none.
+        with pytest.raises(InputError, match="node 0"):
+            build_csr([(0, 0)], 1)
+        with pytest.raises(InputError, match="node 2"):
+            build_csr([(0, 1), (2, 2), (1, 2)], 3)
+        A = scipy.sparse.csr_array(np.array([[0.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(InputError, match="node 1"):
+            SparseGraph(A)
 
     def test_sorted_and_deduped_rows(self, rng):
         edges = er_edges(rng, 30, 0.3)
@@ -56,7 +62,7 @@ class TestBuildCsr:
             build_csr([(-1, 0)], 3)
 
     def test_tuples_and_int_array_agree(self, rng):
-        edges = er_edges(rng, 25, 0.3) + [(4, 4), (7, 2), (2, 7), (4, 4)]
+        edges = er_edges(rng, 25, 0.3) + [(7, 2), (2, 7)]
         a = build_csr(edges, 25).adjacency
         assert (a.data == 1.0).all()
         for array in (np.array(edges), np.array(edges, dtype=np.int32)):
@@ -68,7 +74,7 @@ class TestBuildCsr:
             assert A.indptr.dtype == A.indices.dtype == np.int64
 
     def test_stored_arrays_reject_writes(self):
-        g = build_csr([(0, 1), (1, 1)], 3)
+        g = build_csr([(0, 1), (1, 2)], 3)
         A = g.adjacency
         for arr in (A.data, A.indices, A.indptr, g.degrees):
             with pytest.raises(ValueError):
@@ -287,11 +293,10 @@ class TestPermuteGraph:
         with pytest.raises(InputError):
             permute_graph(g, np.zeros((2, 1)), [0, 0])
 
-    def test_matches_dense_permutation_with_loops(self, rng):
+    def test_matches_dense_permutation(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 30))
-            loops = [(i, i) for i in range(n) if rng.random() < 0.2]
-            g = build_csr(er_edges(rng, n, 0.3) + loops, n)
+            g = build_csr(er_edges(rng, n, 0.3), n)
             p = rng.permutation(n)
             P = np.eye(n)[p]
             gp, _ = permute_graph(g, np.zeros((n, 1)), p)
@@ -346,7 +351,8 @@ class TestEdgeListIO:
         # The (m, 2) int64 array holds 16 B per edge; a Python tuple per
         # edge would take about 120 B.
         n = 5000
-        g = build_csr(rng.integers(0, n, size=(30000, 2)), n)
+        pairs = rng.integers(0, n, size=(30000, 2))
+        g = build_csr(pairs[pairs[:, 0] != pairs[:, 1]], n)
         path = tmp_path / "edges.txt"
         write_edge_list(path, g)
         edges, peak = traced_peak(read_edge_list, path, n=n)
@@ -364,7 +370,7 @@ class TestEdgeListIO:
 
     def test_roundtrip(self, tmp_path, rng):
         n = 15
-        g = build_csr(er_edges(rng, n, 0.4) + [(3, 3)], n)
+        g = build_csr(er_edges(rng, n, 0.4), n)
         path = tmp_path / "edges.txt"
         write_edge_list(path, g)
         g2 = build_csr(read_edge_list(path, n=n), n)
@@ -372,10 +378,10 @@ class TestEdgeListIO:
         assert np.array_equal(g.adjacency.indptr, g2.adjacency.indptr)
 
     def test_write_exact_bytes(self, tmp_path):
-        g = build_csr([(2, 1), (0, 2), (1, 1), (2, 0)], 4)
+        g = build_csr([(2, 1), (0, 2), (2, 0)], 4)
         path = tmp_path / "edges.txt"
         write_edge_list(path, g)
-        assert path.read_bytes() == b"0 2\n1 1\n1 2\n"
+        assert path.read_bytes() == b"0 2\n1 2\n"
         write_edge_list(path, build_csr([], 3))
         assert path.read_bytes() == b""
 

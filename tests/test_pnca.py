@@ -33,14 +33,14 @@ def row_major_reference(T, g):
 
 @st.composite
 def graph_and_matrix(draw):
-    """A small graph (self-loops and isolated nodes allowed) and a COO
-    matrix that may hold duplicates, negatives anywhere and stored zeros
-    on its edges."""
+    """A small graph (isolated nodes allowed) and a COO matrix that may
+    hold duplicates, negatives anywhere and stored zeros on its edges."""
     n = draw(st.integers(0, 7))
     if n == 0:
         return build_csr([], 0), scipy.sparse.coo_array((0, 0))
     node = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(node, node), max_size=12))
+    edges = [(u, v) for u, v in draw(st.lists(st.tuples(node, node),
+                                              max_size=12)) if u != v]
     g = build_csr(edges, n)
     entries = draw(st.lists(
         st.tuples(node, node, st.sampled_from([-1.5, 0.0, 0.25, 1.0])),
@@ -108,11 +108,12 @@ class TestClassifyGraphActivation:
             assert (verdict.label, verdict.witness) == expected
 
     def test_witness_on_sparse_transforms(self):
-        # Node 0 has only a self-loop, so I - Â stores no entry at (0, 0).
-        g = build_csr([(0, 0), (1, 2)], 3)
+        # Node 0 is isolated: both transforms store only the identity's 1
+        # in its row, and L's first violation is the edge (1, 2).
+        g = build_csr([(1, 2)], 3)
         assert classify_graph_activation(transform(g, "shifted"), g).positive
         verdict = classify_graph_activation(transform(g, "laplacian"), g)
-        assert verdict.witness == ((0, 0), 0.0,
+        assert verdict.witness == ((1, 2), -1.0,
                                    "non-positive entry on edge/self-loop")
 
     def test_shape_checked(self):
@@ -219,12 +220,8 @@ class TestLabelSmoothness:
         g = build_csr(K2_EDGES, 2)
         assert label_smoothness(g, [0, 1]) == 1.0
 
-    def test_self_loops_excluded(self):
-        g = build_csr(K2_EDGES + [(0, 0)], 2)
-        assert label_smoothness(g, [0, 1]) == 1.0
-
     def test_no_edges_degenerate(self):
-        g = build_csr([(0, 0)], 2)
+        g = build_csr([], 2)
         with pytest.raises(DegenerateInputError):
             label_smoothness(g, [0, 1])
 
