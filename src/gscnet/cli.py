@@ -1,8 +1,9 @@
 """Experiment CLI.
 
 Subcommands: train, sweep, oversmooth, ablate, bench, csbm-gen, analyze,
-verify. Every artifact is JSON/CSV with a schema field; re-running a
-command overwrites outputs with identical bytes apart from wall times.
+verify. Every JSON artifact carries a schema field; re-running a command
+overwrites outputs with identical bytes apart from wall times. Each
+training command warns on stderr about every cell that diverged.
 
 Exit codes: 0 success, 2 config error (or an output path that cannot be
 written), 3 data error, 4 verification failure.
@@ -60,6 +61,12 @@ def _out_dir(args) -> str:
     return args.out_dir
 
 
+def _warn_diverged(cell: str, seeds: list):
+    if seeds:
+        print(f"warning: {cell}: training diverged (non-finite loss) on "
+              f"seed(s) {seeds}", file=sys.stderr)
+
+
 def _cmd_train(args) -> int:
     config = _load_config(args)
     result = experiments.cmd_train(config)
@@ -71,12 +78,10 @@ def _cmd_train(args) -> int:
     experiments.write_with_environment(
         os.path.join(out, "summary.json"),
         {**s, "runs": [r.to_json() for r in result["records"]]}, config)
-    print(f"{config.arch} (k1={config.k1}, k2={config.k2}): "
-          f"test acc {s['mean_test_acc']:.4f} +/- {s['ci95']:.4f} "
+    cell = f"{config.arch} (k1={config.k1}, k2={config.k2})"
+    print(f"{cell}: test acc {s['mean_test_acc']:.4f} +/- {s['ci95']:.4f} "
           f"over {len(config.seeds)} seed(s)")
-    if s["diverged_seeds"]:
-        print(f"warning: training diverged (non-finite loss) on seed(s) "
-              f"{s['diverged_seeds']}", file=sys.stderr)
+    _warn_diverged(cell, s["diverged_seeds"])
     return 0
 
 
@@ -100,6 +105,9 @@ def _cmd_sweep(args) -> int:
         os.path.join(out, "sweep.json"), table, config)
     experiments.write_grid_csv(os.path.join(out, "sweep.csv"), table)
     print(f"sweep spread (max-min mean acc): {table['spread']:.4f}")
+    for c in table["cells"]:
+        _warn_diverged(f"{config.arch} (k1={c['k1']}, k2={c['k2']})",
+                       c["diverged_seeds"])
     return 0
 
 
@@ -113,6 +121,9 @@ def _cmd_oversmooth(args) -> int:
     experiments.write_depth_csv(os.path.join(out, "oversmooth.csv"), table)
     for arch, drop in table["drop_to_deepest"].items():
         print(f"{arch}: drop to depth {depths[-1]} = {drop:.4f}")
+    for arch, by_depth in table["diverged_seeds"].items():
+        for depth, seeds in by_depth.items():
+            _warn_diverged(f"{arch} at depth {depth}", seeds)
     return 0
 
 
@@ -124,6 +135,8 @@ def _cmd_ablate(args) -> int:
         os.path.join(out, "ablate.json"), table, config)
     for variant, row in table["rows"].items():
         print(f"{variant}: {row['mean_test_acc']:.4f} +/- {row['ci95']:.4f}")
+        k1, k2 = row["degrees"]
+        _warn_diverged(f"{variant} (k1={k1}, k2={k2})", row["diverged_seeds"])
     return 0
 
 

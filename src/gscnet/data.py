@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse
@@ -127,9 +127,7 @@ class CsbmParams:
             raise InputError(f"feature dimension must be >= 1, got {self.d}")
 
     def to_json(self) -> dict:
-        return {"n": self.n, "p_intra": self.p_intra, "p_inter": self.p_inter,
-                "mu": self.mu, "sigma": self.sigma, "d": self.d,
-                "seed": self.seed}
+        return asdict(self)
 
 
 def csbm_params_for(regime: str, n: int = 1000, d: int = 16, mu: float = 1.0,

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,15 +35,14 @@ import numpy as np
 from .basis import build_basis_cache
 from .data import (CsbmParams, Dataset, csbm_generate, csbm_params_for,
                    load_dataset, random_split)
-from .errors import ConfigError, InputError
+from .errors import ConfigError, GscnetError, InputError
 from .model import ARCHITECTURES, TrainConfig, is_int, propagation
 from .train import RunRecord, train_single
 
 SCHEMA_VERSION = "gscnet-experiments/1"
 
-# Two-sided 95% Student-t critical values by degrees of freedom. Entries
-# beyond the table fall back to the closest smaller df, then the normal
-# limit.
+# Two-sided 95% Student-t critical values by degrees of freedom. A df
+# beyond the table reads the closest smaller df's entry.
 _T975 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
          7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179,
          13: 2.160, 14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101,
@@ -54,10 +53,7 @@ _T975 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
 def t_critical_975(df: int) -> float:
     if df <= 0:
         return float("nan")
-    if df in _T975:
-        return _T975[df]
-    usable = [k for k in _T975 if k <= df]
-    return _T975[max(usable)] if usable else 1.960
+    return _T975[max(k for k in _T975 if k <= df)]
 
 
 def mean_ci95(values) -> tuple[float, float]:
@@ -250,7 +246,15 @@ def _fan_out(config: ExperimentConfig, jobs: list) -> list:
         with blas_threads_per_worker(workers), \
                 ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [(key, pool.submit(fn)) for key, fn in jobs]
-            results = [(key, f.result()) for key, f in futures]
+            try:
+                # Results are read as they finish, so the first seed to fail
+                # raises at once; it, or an interrupt, cancels the seeds no
+                # worker has started.
+                for done in as_completed(f for _, f in futures):
+                    done.result()
+                results = [(key, f.result()) for key, f in futures]
+            finally:
+                pool.shutdown(cancel_futures=True)
     return sorted(results, key=lambda kv: kv[0])
 
 
@@ -270,8 +274,8 @@ def _run_cells(config: ExperimentConfig, cells) -> list:
 
 
 def summarize_records(records: list) -> dict:
-    accs = [r.test_acc for r in records]
-    mean, ci = mean_ci95(accs)
+    """The one summary of a trained cell's RunRecords, in every command."""
+    mean, ci = mean_ci95([r.test_acc for r in records])
     return {"mean_test_acc": mean, "ci95": ci,
             "per_seed": {str(r.seed): r.test_acc for r in records},
             "diverged_seeds": [r.seed for r in records if r.diverged]}
@@ -297,11 +301,8 @@ def cmd_sweep_degrees(config: ExperimentConfig, k1_range, k2_range) -> dict:
 
     grid = sorted({(k1, k2) for k1 in k1_range for k2 in k2_range})
     per_cell = _run_cells(config, [(config.arch, k1, k2) for k1, k2 in grid])
-    cells = []
-    for (k1, k2), records in zip(grid, per_cell):
-        mean, ci = mean_ci95([r.test_acc for r in records])
-        cells.append({"k1": k1, "k2": k2, "mean_test_acc": mean,
-                      "ci95": ci})
+    cells = [{"k1": k1, "k2": k2, **summarize_records(records)}
+             for (k1, k2), records in zip(grid, per_cell)]
     means = [c["mean_test_acc"] for c in cells]
     return {"schema": SCHEMA_VERSION, "command": "sweep",
             "arch": config.arch, "dataset": config.dataset,
@@ -309,24 +310,22 @@ def cmd_sweep_degrees(config: ExperimentConfig, k1_range, k2_range) -> dict:
             "spread": float(max(means) - min(means))}
 
 
-# Depth -> per-arch degree arguments: GSCNet grows both families, the
-# baselines grow their single degree.
-def _depth_degrees(arch: str, depth: int) -> tuple[int, int]:
-    return (depth, depth) if arch == "GSCNet" else (depth, 0)
-
-
 def cmd_oversmooth(config: ExperimentConfig, depths) -> dict:
     """Accuracy vs propagation depth for all four architectures, on the
     same per-seed datasets and splits."""
     depths = list(depths)
-    if not depths or min(depths) < 1:
-        raise ConfigError("depths must be >= 1")
-    cells = {(arch, depth): (arch, *_depth_degrees(arch, depth))
-             for arch in ARCHITECTURES for depth in depths}
-    accs = {key: [r.test_acc for r in records] for key, records
-            in zip(cells, _run_cells(config, cells.values()))}
-    rows = {arch: {str(d): mean_ci95(accs[arch, d])[0] for d in depths}
-            for arch in ARCHITECTURES}
+    if not depths or depths[0] < 1 or depths != sorted(set(depths)):
+        raise ConfigError(f"depths must be >= 1 and strictly increasing, "
+                          f"got {depths}")
+    # GSCNet grows both families with depth, a baseline its single degree.
+    cells = {(arch, d): (arch, d, d if arch == "GSCNet" else 0)
+             for arch in ARCHITECTURES for d in depths}
+    summaries = {key: summarize_records(records) for key, records
+                 in zip(cells, _run_cells(config, cells.values()))}
+    rows, diverged = (
+        {arch: {str(d): summaries[arch, d][field] for d in depths}
+         for arch in ARCHITECTURES}
+        for field in ("mean_test_acc", "diverged_seeds"))
     # Two decline measures: from the per-model peak, and end to end across
     # the sweep (negative = the model gains accuracy with depth).
     drops = {arch: max(vals.values()) - vals[str(depths[-1])]
@@ -336,7 +335,7 @@ def cmd_oversmooth(config: ExperimentConfig, depths) -> dict:
     return {"schema": SCHEMA_VERSION, "command": "oversmooth",
             "dataset": config.dataset, "depths": depths,
             "accuracy": rows, "drop_to_deepest": drops,
-            "decline_shallow_to_deep": declines}
+            "decline_shallow_to_deep": declines, "diverged_seeds": diverged}
 
 
 def cmd_ablate_activations(config: ExperimentConfig) -> dict:
@@ -347,12 +346,9 @@ def cmd_ablate_activations(config: ExperimentConfig) -> dict:
                        "mixed": (config.k1, config.k2)}
     per_cell = _run_cells(config, [("GSCNet", k1, k2)
                                    for k1, k2 in variant_degrees.values()])
-    rows = {}
-    for (variant, degrees), records in zip(variant_degrees.items(),
-                                           per_cell):
-        mean, ci = mean_ci95([r.test_acc for r in records])
-        rows[variant] = {"mean_test_acc": mean, "ci95": ci,
-                         "degrees": list(degrees)}
+    rows = {variant: {**summarize_records(records), "degrees": list(degrees)}
+            for (variant, degrees), records in zip(variant_degrees.items(),
+                                                   per_cell)}
     return {"schema": SCHEMA_VERSION, "command": "ablate",
             "dataset": config.dataset, "rows": rows}
 
@@ -374,6 +370,9 @@ def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
             f"with warmup={warmup}")
     (record,), = _run_cells(bench_config(config),
                             [(config.arch, config.k1, config.k2)])
+    if record.diverged:
+        raise GscnetError(f"bench: seed {record.seed} diverged (non-finite "
+                          f"loss) at epoch {len(record.epochs)}")
     series = [e.ms for e in record.epochs]
     measured = series[warmup:]
     return {"schema": SCHEMA_VERSION, "command": "bench",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,9 +30,7 @@ class EpochStats:
     ms: float
 
     def to_json(self) -> dict:
-        return {"epoch": self.epoch, "train_loss": self.train_loss,
-                "val_acc": self.val_acc, "test_acc": self.test_acc,
-                "ms": self.ms}
+        return asdict(self)
 
 
 @dataclass

@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gscnet import experiments, train
+
 
 def dense_adjacency_ref(edges, n):
     A = np.zeros((n, n))
@@ -74,3 +76,34 @@ TRIANGLE_EDGES = [(0, 1), (1, 2), (2, 0)]
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fails the test if a command draws a CSBM."""
+    def draw(*args):
+        raise AssertionError("a dataset was drawn")
+    monkeypatch.setattr(experiments, "csbm_generate", draw)
+
+
+@pytest.fixture
+def nan_loss(monkeypatch):
+    """nan_loss(seed, epoch): every run on `seed` sees a NaN training loss
+    at `epoch`, so it stops there and is marked diverged."""
+    real = train.loss_and_grad
+
+    def patch(seed, epoch):
+        # id of a run's dropout generator -> [the generator, its epoch];
+        # holding the generator keeps its id from naming a later run.
+        runs = {}
+
+        def loss_and_grad(params, g, X, labels, mask, cfg, rng=None):
+            loss, grads = real(params, g, X, labels, mask, cfg, rng=rng)
+            run = runs.setdefault(id(rng), [rng, -1])
+            run[1] += 1
+            if cfg.seed == seed and run[1] == epoch:
+                loss = float("nan")
+            return loss, grads
+
+        monkeypatch.setattr(train, "loss_and_grad", loss_and_grad)
+    return patch

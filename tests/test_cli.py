@@ -11,7 +11,7 @@ from gscnet.cli import build_parser, main
 from gscnet.data import CsbmParams, csbm_params_for
 from gscnet.errors import InputError
 from gscnet.experiments import ExperimentConfig, make_dataset
-from gscnet.model import TrainConfig
+from gscnet.model import ARCHITECTURES, TrainConfig
 from test_acceptance import CONFIG_DIR, PROTOCOLS
 
 TINY = {"dataset": {"kind": "csbm", "n": 80, "d": 6, "p_intra": 0.3,
@@ -26,14 +26,6 @@ def write_config(tmp_path, obj=TINY):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
     return str(path)
-
-
-@pytest.fixture
-def no_draw(monkeypatch):
-    """Fails the test if a command draws a CSBM."""
-    def draw(*args):
-        raise AssertionError("a dataset was drawn")
-    monkeypatch.setattr(experiments, "csbm_generate", draw)
 
 
 def assert_environment(artifact, workers):
@@ -89,6 +81,18 @@ class TestTrainCommand:
         path.write_text("{not json")
         assert main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("config, message", [
+        (None, "cannot read config"),
+        ([TINY], "config must be a JSON object"),
+    ], ids=["missing", "array"])
+    def test_unusable_config_file_exits_2(self, tmp_path, capsys, config,
+                                          message):
+        path = (str(tmp_path / "missing.json") if config is None
+                else write_config(tmp_path, config))
+        assert main(["train", "--config", path,
+                     "--out-dir", str(tmp_path / "runs")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_unknown_arch_exits_2(self, tmp_path):
         assert main(["train", "--config",
                      write_config(tmp_path, {**TINY, "arch": "GAT"})]) == 2
@@ -105,7 +109,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("dataset", [
         {"kind": "files", "edges": "x"},
         {**TINY["dataset"], "bogus": 1},
-    ], ids=["files-missing-keys", "csbm-unknown-key"])
+        {"kind": "csbm", "regime": "bogus"},
+    ], ids=["files-missing-keys", "csbm-unknown-key", "csbm-unknown-regime"])
     def test_bad_dataset_spec_exits_2(self, tmp_path, capsys, dataset):
         rc = main(["train", "--config",
                    write_config(tmp_path, {**TINY, "dataset": dataset}),
@@ -214,6 +219,15 @@ class TestOversmoothCommand:
         assert_environment(table, 2)
         assert (out / "oversmooth.csv").read_text().startswith("arch,depth_1")
 
+    @pytest.mark.parametrize("depths", ["2,x", "4,2", "2,2"])
+    def test_bad_depths_exit_2_before_any_draw(self, tmp_path, capsys,
+                                               no_draw, depths):
+        out = tmp_path / "runs"
+        assert main(["oversmooth", "--config", write_config(tmp_path),
+                     "--depths", depths, "--out-dir", str(out)]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblateCommand:
     def test_rows(self, tmp_path):
@@ -250,6 +264,38 @@ class TestBenchCommand:
         rc = main(["bench", "--config", write_config(tmp_path, cfg),
                    "--warmup", "1", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_diverged_run_exits_2(self, tmp_path, capsys, nan_loss):
+        nan_loss(seed=1, epoch=2)
+        out = tmp_path / "runs"
+        rc = main(["bench", "--config", write_config(
+            tmp_path, {**TINY, "seeds": [1]}), "--out-dir", str(out)])
+        assert rc == 2
+        assert "error: bench: seed 1 diverged (non-finite loss) at epoch 2" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDivergenceWarning:
+    # Each training command and the cells its warnings name.
+    @pytest.mark.parametrize("command, flags, cells", [
+        ("train", [], ["GSCNet (k1=1, k2=1)"]),
+        ("sweep", ["--k1-range", "0:1", "--k2-range", "1"],
+         ["GSCNet (k1=0, k2=1)", "GSCNet (k1=1, k2=1)"]),
+        ("oversmooth", ["--depths", "1,2"],
+         [f"{arch} at depth {d}" for arch in ARCHITECTURES for d in (1, 2)]),
+        ("ablate", [], ["positive (k1=1, k2=-1)", "negative (k1=-1, k2=1)",
+                        "mixed (k1=1, k2=1)"]),
+    ], ids=["train", "sweep", "oversmooth", "ablate"])
+    def test_names_each_diverged_cell(self, tmp_path, capsys, nan_loss,
+                                      command, flags, cells):
+        nan_loss(seed=1, epoch=2)
+        assert main([command, "--config", write_config(tmp_path), *flags,
+                     "--out-dir", str(tmp_path / "runs"),
+                     "--threads", "2"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {cell}: training diverged (non-finite loss) on "
+            "seed(s) [1]" for cell in cells]
 
 
 class TestCsbmGenCommand:

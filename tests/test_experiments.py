@@ -1,4 +1,6 @@
 import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +9,11 @@ import pytest
 from gscnet import experiments, train
 from gscnet.data import (CsbmParams, csbm_generate, random_split,
                          save_dataset)
-from gscnet.errors import ConfigError
+from gscnet.errors import ConfigError, GscnetError
 from gscnet.experiments import (ExperimentConfig, cmd_ablate_activations,
                                 cmd_bench, cmd_oversmooth, cmd_sweep_degrees,
                                 cmd_train, make_dataset, mean_ci95,
-                                t_critical_975)
+                                summarize_records, t_critical_975)
 from gscnet.model import TrainConfig
 
 TINY_CSBM = {"kind": "csbm", "n": 80, "d": 6, "p_intra": 0.3,
@@ -219,18 +221,8 @@ class TestCmdTrain:
         threaded = cmd_train(tiny_config(threads=3))["summary"]
         assert serial == threaded
 
-    def test_diverged_run_stops_and_is_listed(self, monkeypatch):
-        real = train.loss_and_grad
-        calls = {}
-
-        def nan_on_seed1_epoch2(params, g, X, labels, mask, cfg, rng=None):
-            loss, grads = real(params, g, X, labels, mask, cfg, rng=rng)
-            calls[cfg.seed] = calls.get(cfg.seed, 0) + 1
-            if cfg.seed == 1 and calls[1] == 3:
-                loss = float("nan")
-            return loss, grads
-
-        monkeypatch.setattr(train, "loss_and_grad", nan_on_seed1_epoch2)
+    def test_diverged_run_stops_and_is_listed(self, nan_loss):
+        nan_loss(seed=1, epoch=2)
         result = cmd_train(tiny_config())
         ok, bad = result["records"]
         assert result["summary"]["diverged_seeds"] == [1]
@@ -267,9 +259,12 @@ class TestCmdOversmooth:
         for vals in table["accuracy"].values():
             assert set(vals) == {"1", "2"}
 
-    def test_depth_guard(self):
-        with pytest.raises(ConfigError):
-            cmd_oversmooth(tiny_config(), [0, 2])
+    def test_depth_guard(self, no_draw):
+        # Depths must be >= 1 and strictly increasing, so the last one is
+        # the deepest; a bad list fails before any dataset is drawn.
+        for depths in ([0, 2], [4, 2], [2, 2]):
+            with pytest.raises(ConfigError):
+                cmd_oversmooth(tiny_config(), depths)
 
 
 class TestCmdAblate:
@@ -291,6 +286,60 @@ class TestCmdBench:
         cfg = tiny_config(train=TrainConfig(**{**FAST_TRAIN, "epochs": 1}))
         with pytest.raises(ConfigError):
             cmd_bench(cfg, warmup=1)
+
+    def test_diverged_run_refused(self, nan_loss):
+        nan_loss(seed=1, epoch=2)
+        with pytest.raises(GscnetError, match="seed 1 diverged .* epoch 2"):
+            cmd_bench(tiny_config(seeds=[1]), warmup=1)
+
+
+class TestCellSummaries:
+    # Each command that trains a grid of cells, its cells' diverged seeds
+    # and its number of cells.
+    @pytest.mark.parametrize("command, diverged, cells", [
+        (lambda c: cmd_sweep_degrees(c, [0, 2], [1]),
+         lambda t: [cell["diverged_seeds"] for cell in t["cells"]], 2),
+        (lambda c: cmd_oversmooth(c, [1, 2]),
+         lambda t: [seeds for by_depth in t["diverged_seeds"].values()
+                    for seeds in by_depth.values()], 8),
+        (cmd_ablate_activations,
+         lambda t: [row["diverged_seeds"] for row in t["rows"].values()], 3),
+    ], ids=["sweep", "oversmooth", "ablate"])
+    def test_every_cell_lists_the_diverged_seed(self, nan_loss, command,
+                                                diverged, cells):
+        nan_loss(seed=1, epoch=2)
+        assert diverged(command(tiny_config(threads=2))) == [[1]] * cells
+
+    def test_cells_are_summaries_of_their_records(self, monkeypatch):
+        runs = spy_train_single(monkeypatch)
+        table = cmd_sweep_degrees(tiny_config(), [0, 2], [1])
+        for cell in table["cells"]:
+            records = [r for _, _, k1, k2, _, r in sorted(
+                runs, key=lambda run: run[0])
+                if (k1, k2) == (cell["k1"], cell["k2"])]
+            assert cell == {"k1": cell["k1"], "k2": cell["k2"],
+                            **summarize_records(records)}
+            assert set(cell["per_seed"]) == {"0", "1"}
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("error", [GscnetError, KeyboardInterrupt])
+    def test_failed_seed_cancels_seeds_not_started(self, monkeypatch, error):
+        started = []
+
+        def run_one_seed(config, source, seed, cells):
+            started.append(seed)
+            if seed == 1:
+                raise error(f"seed {seed} failed")
+            time.sleep(0.5 if seed == 0 else 0.05)
+            return [None] * len(cells)
+
+        monkeypatch.setattr(experiments, "_run_one_seed", run_one_seed)
+        with pytest.raises(error, match="seed 1 failed"):
+            cmd_train(tiny_config(seeds=list(range(8)), threads=2))
+        # Seed 1 fails while seed 0 still runs; had the fan-out waited for
+        # seed 0, the other worker would have started every seed.
+        assert {0, 1} <= set(started) and len(started) < 8
 
 
 # Heterophily CSBM at n=5000: big enough that OpenBLAS threads the MLP's
@@ -331,8 +380,13 @@ class TestBlasThreadsPerWorker:
         before = get()
         seen = []
 
+        # Both jobs start before either fails: a failure cancels the jobs
+        # that have not started.
+        both_started = threading.Barrier(2, timeout=10)
+
         def job():
             seen.append(get())
+            both_started.wait()
             raise RuntimeError("job failed")
 
         with pytest.raises(RuntimeError):

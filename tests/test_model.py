@@ -7,7 +7,7 @@ import pytest
 
 from gscnet.data import csbm_generate, CsbmParams, random_split
 from gscnet.errors import InputError
-from gscnet import graph, model, verify
+from gscnet import graph, model, train, verify
 from gscnet.graph import build_csr, permute_graph
 from gscnet.model import (ARCHITECTURES, AdamState, TrainConfig, accuracy,
                           adam_step, forward, init_params, loss_and_grad,
@@ -66,6 +66,10 @@ class TestInit:
     def test_unknown_arch_rejected(self):
         with pytest.raises(InputError):
             init_params("GAT", 4, 2, 1, 1, seed=0)
+
+    def test_gscnet_without_a_family_rejected(self):
+        with pytest.raises(InputError, match="at least one family"):
+            init_params("GSCNet", 4, 2, -1, -1, seed=0)
 
 
 class TestForward:
@@ -525,6 +529,19 @@ class TestTraining:
         short = run(b + 1)
         assert full.alpha == short.alpha
         assert full.beta == short.beta
+
+    def test_patience_stops_a_flat_run(self, monkeypatch):
+        # Validation accuracy never rises after epoch 0, so the run stops
+        # at the epoch that makes patience + 1 epochs without a gain.
+        monkeypatch.setattr(train, "evaluate", lambda params, ds, split:
+                            (0.5, 0.25))
+        ds = csbm_generate(CsbmParams(n=60, d=6, seed=3))
+        split = random_split(ds.n, seed=3)
+        for patience in (0, 3):
+            cfg = TrainConfig(epochs=50, patience=patience, seed=3)
+            record = train_single(ds, split, "GSCNet", 1, 1, cfg)
+            assert len(record.epochs) == patience + 2
+            assert record.best_epoch == 0 and record.test_acc == 0.25
 
     def test_overfits_separable_csbm(self):
         # 50 nodes, strong structure: train accuracy hits 1.0 in 200 epochs.
