@@ -63,8 +63,8 @@ def _out_dir(args) -> str:
 
 def _warn_diverged(cell: str, seeds: list):
     if seeds:
-        print(f"warning: {cell}: training diverged (non-finite loss) on "
-              f"seed(s) {seeds}", file=sys.stderr)
+        print(f"warning: {cell}: training diverged (non-finite loss or "
+              f"logits) on seed(s) {seeds}", file=sys.stderr)
 
 
 def _cmd_train(args) -> int:

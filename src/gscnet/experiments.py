@@ -298,6 +298,11 @@ def cmd_sweep_degrees(config: ExperimentConfig, k1_range, k2_range) -> dict:
         raise ConfigError("sweep ranges must be non-empty")
     if min(k1_range + k2_range) < 0 or max(k1_range + k2_range) > 6:
         raise ConfigError("sweep degrees must lie in [0, 6]")
+    if config.arch != "GSCNet" and len(set(k2_range)) > 1:
+        # A single-degree architecture ignores k2 (see `propagation`).
+        raise ConfigError(f"{config.arch} has one degree, k1; a k2 range of "
+                          f"{k2_range} would train each k1 cell "
+                          f"{len(set(k2_range))} times")
 
     grid = sorted({(k1, k2) for k1 in k1_range for k2 in k2_range})
     per_cell = _run_cells(config, [(config.arch, k1, k2) for k1, k2 in grid])
@@ -372,7 +377,7 @@ def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
                             [(config.arch, config.k1, config.k2)])
     if record.diverged:
         raise GscnetError(f"bench: seed {record.seed} diverged (non-finite "
-                          f"loss) at epoch {len(record.epochs)}")
+                          f"loss or logits) at epoch {len(record.epochs)}")
     series = [e.ms for e in record.epochs]
     measured = series[warmup:]
     return {"schema": SCHEMA_VERSION, "command": "bench",

@@ -133,8 +133,8 @@ def propagation(arch: str, k1: int, k2: int) -> Propagation:
 
 @dataclass
 class ModelParams:
-    """Trainable state: MLP weights plus the propagation coefficients
-    ``alpha`` and ``beta`` of the model's propagation ``prop``. The
+    """Trainable state: MLP weights plus the coefficients c = (alpha, beta)
+    of the model's propagation ``prop``, alpha being c[:prop.na]. The
     coefficients' meaning is architecture-dependent (see module docstring):
     GCN has none, and for JKNet alpha[k-1] multiplies M^k (there is no
     k = 0 term).
@@ -145,8 +145,7 @@ class ModelParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
+    c: np.ndarray
 
     @property
     def d_in(self) -> int:
@@ -154,10 +153,8 @@ class ModelParams:
 
     def trainable(self) -> dict:
         groups = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-        if self.alpha.size:
-            groups["alpha"] = self.alpha
-        if self.beta.size:
-            groups["beta"] = self.beta
+        if self.c.size:
+            groups["c"] = self.c
         return groups
 
 
@@ -175,8 +172,7 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
     w1 = rng.uniform(-s1, s1, size=(d_in, hidden))
     w2 = rng.uniform(-s2, s2, size=(hidden, d_out))
     return ModelParams(prop=prop, w1=w1, b1=np.zeros(hidden), w2=w2,
-                       b2=np.zeros(d_out), alpha=np.ones(prop.na),
-                       beta=np.ones(prop.nb))
+                       b2=np.zeros(d_out), c=np.ones(prop.na + prop.nb))
 
 
 def forward(params: ModelParams, g: SparseGraph, X, rng=None,
@@ -215,10 +211,8 @@ def forward(params: ModelParams, g: SparseGraph, X, rng=None,
     H += params.b2
     mask_conv = drop_mask(H.shape, dropout_conv)
     Hd = H if mask_conv is None else np.multiply(H, mask_conv, out=H)
-    c = np.concatenate([params.alpha, params.beta])
-    Z, blocks = params.prop.apply(c, g, Hd)
-    tape = {"Xd": Xd, "h1": h1, "mask_conv": mask_conv, "c": c,
-            "blocks": blocks}
+    Z, blocks = params.prop.apply(params.c, g, Hd)
+    tape = {"Xd": Xd, "h1": h1, "mask_conv": mask_conv, "blocks": blocks}
     return Z, tape
 
 
@@ -259,7 +253,7 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     loss, dZ = softmax_cross_entropy(logits, labels, mask)
 
     # The operators are symmetric: dH is the same propagation run on dZ.
-    dH, _ = params.prop.apply(tape["c"], g, dZ)
+    dH, _ = params.prop.apply(params.c, g, dZ)
     if tape["mask_conv"] is not None:
         dH *= tape["mask_conv"]
     grads = {"w2": tape["h1"].T @ dH, "b2": dH.sum(axis=0)}
@@ -269,15 +263,13 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     grads["w1"] = tape["Xd"].T @ da1
     grads["b1"] = da1.sum(axis=0)
 
-    na, nb = params.alpha.size, params.beta.size
-    if na + nb:
+    if params.c.size:
         t = np.array([float(np.vdot(dZ, B)) for B in tape["blocks"]])
-        dc = params.prop.W.T @ t
-        if na:
-            grads["alpha"] = dc[:na]
-        if nb:
-            grads["beta"] = dc[na:]
+        grads["c"] = params.prop.W.T @ t
     return loss, grads
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -285,9 +277,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -296,9 +285,8 @@ class AdamState:
                    v={k: np.zeros_like(v) for k, v in groups.items()})
 
 
-# MLP weights get lr_linear and L2 decay; propagation coefficients get
-# lr_prop and no decay (decay would fight their all-ones initialization).
-_LINEAR_GROUPS = ("w1", "b1", "w2", "b2")
+# MLP weights get lr_linear and L2 decay; the propagation coefficients c
+# get lr_prop and no decay (decay would fight their all-ones initialization).
 _DECAYED_GROUPS = ("w1", "w2")
 
 
@@ -307,20 +295,20 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
     """One bias-corrected Adam update, in place; returns (params, state)."""
     state.t += 1
     groups = params.trainable()
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, value in groups.items():
         g = grads[name]
         if name in _DECAYED_GROUPS and config.weight_decay > 0.0:
             g = g + config.weight_decay * value
-        lr = config.lr_linear if name in _LINEAR_GROUPS else config.lr_prop
+        lr = config.lr_prop if name == "c" else config.lr_linear
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        value -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        value -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import pnca, verify
-from .basis import build_basis_cache, gsc_combine
 from .data import block_edges
 from .graph import SparseGraph, build_csr, laplacian_apply, shifted_apply
 from .model import TrainConfig, init_params, loss_and_grad, propagation
@@ -91,15 +90,14 @@ def _check_recurrence(rng, trials: int) -> dict:
         g = er_graph(rng, n, 0.3)
         X = rng.normal(size=(n, 3))
         # Degree 16 is the deepest oversmoothing depth. Each block P_i or
-        # Q_j is its unit filter over one Krylov cache, so this checks every
-        # degree the sweeps train (0-6) as well.
+        # Q_j is its unit filter through the path training runs, so this
+        # checks every degree the sweeps train (0-6) as well.
         k = 16
-        cache = build_basis_cache(g, X, k)
         S, L = verify.dense_shifted(g), verify.dense_laplacian(g)
         for i in range(k + 1):
             unit = np.eye(i + 1)[i]
             for M, (alpha, beta) in ((S, (unit, [])), (L, ([], unit))):
-                block = gsc_combine(cache, alpha, beta)
+                block = gscnet_filter(g, X, alpha, beta)
                 dense = verify.dense_matrix_power(M, i) @ X
                 denom = max(float(np.linalg.norm(dense)), 1e-30)
                 worst = max(worst,
@@ -176,10 +174,7 @@ def _gradcheck_instance(rng, arch: str = "GSCNet", n: int = 10, d: int = 4,
         if np.abs(X @ params.w1 + params.b1).min() > margin:
             break
     # Break the all-ones symmetry of the filter coefficients.
-    if params.alpha.size:
-        params.alpha[:] += 0.1 * rng.normal(size=params.alpha.shape)
-    if params.beta.size:
-        params.beta[:] += 0.1 * rng.normal(size=params.beta.shape)
+    params.c += 0.1 * rng.normal(size=params.c.shape)
     cfg = TrainConfig(dropout_conv=0.0, dropout_linear=0.0, weight_decay=0.0)
 
     _, analytic = loss_and_grad(params, g, X, labels, mask, cfg)

@@ -4,15 +4,17 @@ Model selection follows the standard protocol: the reported test accuracy
 and filter coefficients are taken at the epoch with the best validation
 accuracy (first such epoch on ties), and training stops early once
 validation accuracy has not improved for `patience` epochs. A run whose
-training loss turns non-finite stops at that epoch and is marked
-`diverged`; its selection covers the epochs before it.
+training loss or evaluation logits turn non-finite stops at that epoch and
+is marked `diverged`; that epoch is neither recorded nor selectable, so
+its selection covers the epochs before it, and a run that diverges in its
+first epoch selects no model.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +37,10 @@ class EpochStats:
 
 @dataclass
 class RunRecord:
+    """One run and its selection: the best-validation epoch, its accuracies
+    and its filter coefficients (alpha, beta). Without a selected epoch the
+    selection keeps its defaults."""
+
     seed: int
     arch: str
     k1: int
@@ -48,17 +54,26 @@ class RunRecord:
     beta: list = field(default_factory=list)
     diverged: bool = False
 
+    def select(self, epoch: int, val_acc: float, test_acc: float,
+               params: ModelParams):
+        self.best_epoch, self.best_val_acc, self.test_acc = \
+            epoch, val_acc, test_acc
+        na = params.prop.na
+        self.alpha, self.beta = params.c[:na].tolist(), params.c[na:].tolist()
+
     def to_json(self) -> dict:
         # The wall time stays out, so the record repeats bit for bit.
-        return {"seed": self.seed, "arch": self.arch, "k1": self.k1,
-                "k2": self.k2, "best_epoch": self.best_epoch,
-                "best_val_acc": self.best_val_acc, "test_acc": self.test_acc,
-                "alpha": self.alpha, "beta": self.beta,
-                "num_epochs": len(self.epochs), "diverged": self.diverged}
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("epochs", "total_s")}
+        return {**out, "num_epochs": len(self.epochs)}
 
 
-def evaluate(params: ModelParams, ds: Dataset, split: Split) -> tuple[float, float]:
+def evaluate(params: ModelParams, ds: Dataset, split: Split):
+    """(val accuracy, test accuracy) of the model, or None when one of its
+    logits is not finite: a model that has diverged has no accuracy."""
     logits, _ = forward(params, ds.graph, ds.features)
+    if not np.isfinite(logits).all():
+        return None
     return (accuracy(logits, ds.labels, split.val),
             accuracy(logits, ds.labels, split.test))
 
@@ -77,41 +92,36 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
     rng_drop = np.random.default_rng(drop_seed)
 
     record = RunRecord(seed=cfg.seed, arch=arch, k1=k1, k2=k2)
-    best_val = -1.0
-    best_test = 0.0
-    best_epoch = -1
-    best_filter = (params.alpha.copy(), params.beta.copy())
-    since_improve = 0
     t_start = time.perf_counter()
 
     if cfg.epochs == 0:
-        val_acc, test_acc = evaluate(params, ds, split)
-        best_val, best_test, best_epoch = val_acc, test_acc, 0
+        if (scores := evaluate(params, ds, split)) is None:
+            record.diverged = True
+        else:
+            record.select(0, *scores, params)
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        loss, grads = loss_and_grad(params, ds.graph, ds.features, ds.labels,
-                                    split.train, cfg, rng=rng_drop)
-        if not math.isfinite(loss):
+        # A diverging step overflows; the checks below catch it, so numpy
+        # need not warn. The state is per thread, and so is the run.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = loss_and_grad(params, ds.graph, ds.features,
+                                        ds.labels, split.train, cfg,
+                                        rng=rng_drop)
+            scores = None
+            if math.isfinite(loss):
+                adam_step(params, grads, state, cfg)
+                scores = evaluate(params, ds, split)
+        if scores is None:
             record.diverged = True
             break
-        adam_step(params, grads, state, cfg)
-        val_acc, test_acc = evaluate(params, ds, split)
+        val_acc, test_acc = scores
         ms = (time.perf_counter() - t0) * 1e3
         record.epochs.append(EpochStats(epoch, loss, val_acc, test_acc, ms))
-        if val_acc > best_val:
-            best_val, best_test, best_epoch = val_acc, test_acc, epoch
-            best_filter = (params.alpha.copy(), params.beta.copy())
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve > cfg.patience:
-                break
+        if record.best_epoch < 0 or val_acc > record.best_val_acc:
+            record.select(epoch, val_acc, test_acc, params)
+        elif epoch - record.best_epoch > cfg.patience:
+            break
 
     record.total_s = time.perf_counter() - t_start
-    record.best_epoch = best_epoch
-    record.best_val_acc = max(best_val, 0.0)
-    record.test_acc = best_test
-    record.alpha = best_filter[0].tolist()
-    record.beta = best_filter[1].tolist()
     return record

@@ -121,6 +121,9 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("override", [
         {"dataset": "cora"},
+        {"dataset": {"kind": "cora"}},
+        {"seeds": []},
+        {"seeds": [0, 0]},
         {"k1": "2"},
         {"k2": 1.5},
         {"arch": "GCN", "k1": 2.5},
@@ -147,7 +150,8 @@ class TestTrainCommand:
         {"dataset": {**TINY["dataset"], "mu": float("inf")}},
         {"dataset": {"kind": "csbm", "regime": "homophily", "n": 80,
                      "expected_degree": True}},
-    ], ids=["dataset-string", "k1-string", "k2-float", "gcn-depth-float",
+    ], ids=["dataset-string", "dataset-kind-unknown", "seeds-empty",
+            "seeds-duplicate", "k1-string", "k2-float", "gcn-depth-float",
             "epochs-float", "patience-bool", "jknet-degree-0", "threads-float",
             "threads-bool", "seed-negative", "lr-nan", "lr-inf",
             "decay-negative", "decay-nan", "lr-linear-bool", "lr-prop-bool",
@@ -207,6 +211,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", write_config(tmp_path), flag,
                      "0:a", "--out-dir", str(tmp_path / "runs")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--k1-range", "--k2-range"])
+    def test_empty_range_exits_2(self, tmp_path, capsys, no_draw, flag):
+        out = tmp_path / "runs"
+        assert main(["sweep", "--config", write_config(tmp_path), flag, "",
+                     "--out-dir", str(out)]) == 2
+        assert "config error: sweep ranges must be non-empty" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOversmoothCommand:
     def test_table_outputs(self, tmp_path):
@@ -259,6 +272,13 @@ class TestBenchCommand:
         assert rc == 0
         assert_environment(json.loads((out / "bench.json").read_text()), 1)
 
+    def test_negative_warmup_exits_2(self, tmp_path, capsys, no_draw):
+        out = tmp_path / "runs"
+        assert main(["bench", "--config", write_config(tmp_path),
+                     "--warmup", "-1", "--out-dir", str(out)]) == 2
+        assert "config error: warmup must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_window_exits_2(self, tmp_path):
         cfg = {**TINY, "train": {**TINY["train"], "epochs": 1}}
         rc = main(["bench", "--config", write_config(tmp_path, cfg),
@@ -271,31 +291,67 @@ class TestBenchCommand:
         rc = main(["bench", "--config", write_config(
             tmp_path, {**TINY, "seeds": [1]}), "--out-dir", str(out)])
         assert rc == 2
-        assert "error: bench: seed 1 diverged (non-finite loss) at epoch 2" \
-            in capsys.readouterr().err
+        assert "error: bench: seed 1 diverged (non-finite loss or logits) " \
+            "at epoch 2" in capsys.readouterr().err
         assert not out.exists()
 
 
+# Each training command, its flags for TINY and the cells its warnings name.
+TRAINING_COMMANDS = [
+    ("train", [], ["GSCNet (k1=1, k2=1)"]),
+    ("sweep", ["--k1-range", "0:1", "--k2-range", "1"],
+     ["GSCNet (k1=0, k2=1)", "GSCNet (k1=1, k2=1)"]),
+    ("oversmooth", ["--depths", "1,2"],
+     [f"{arch} at depth {d}" for arch in ARCHITECTURES for d in (1, 2)]),
+    ("ablate", [], ["positive (k1=1, k2=-1)", "negative (k1=-1, k2=1)",
+                    "mixed (k1=1, k2=1)"]),
+]
+
+
+def divergence_warnings(cells, seeds):
+    return [f"warning: {cell}: training diverged (non-finite loss or "
+            f"logits) on seed(s) {seeds}" for cell in cells]
+
+
 class TestDivergenceWarning:
-    # Each training command and the cells its warnings name.
-    @pytest.mark.parametrize("command, flags, cells", [
-        ("train", [], ["GSCNet (k1=1, k2=1)"]),
-        ("sweep", ["--k1-range", "0:1", "--k2-range", "1"],
-         ["GSCNet (k1=0, k2=1)", "GSCNet (k1=1, k2=1)"]),
-        ("oversmooth", ["--depths", "1,2"],
-         [f"{arch} at depth {d}" for arch in ARCHITECTURES for d in (1, 2)]),
-        ("ablate", [], ["positive (k1=1, k2=-1)", "negative (k1=-1, k2=1)",
-                        "mixed (k1=1, k2=1)"]),
-    ], ids=["train", "sweep", "oversmooth", "ablate"])
+    @pytest.mark.parametrize("command, flags, cells", TRAINING_COMMANDS,
+                             ids=[c[0] for c in TRAINING_COMMANDS])
     def test_names_each_diverged_cell(self, tmp_path, capsys, nan_loss,
                                       command, flags, cells):
         nan_loss(seed=1, epoch=2)
         assert main([command, "--config", write_config(tmp_path), *flags,
                      "--out-dir", str(tmp_path / "runs"),
                      "--threads", "2"]) == 0
-        assert capsys.readouterr().err.splitlines() == [
-            f"warning: {cell}: training diverged (non-finite loss) on "
-            "seed(s) [1]" for cell in cells]
+        assert capsys.readouterr().err.splitlines() == \
+            divergence_warnings(cells, [1])
+
+    @pytest.mark.parametrize("command, flags, cells", TRAINING_COMMANDS
+                             + [("bench", [], [])],
+                             ids=[c[0] for c in TRAINING_COMMANDS] + ["bench"])
+    def test_overflowing_first_step(self, tmp_path, capsys, command, flags,
+                                    cells):
+        """Learning rates of 1e300 overflow the first Adam step, so every
+        run diverges at epoch 0 with no model selected, and numpy warns of
+        nothing (pytest would raise on its RuntimeWarning)."""
+        big = {**TINY["train"], "lr_linear": 1e300, "lr_prop": 1e300}
+        out = tmp_path / "runs"
+        rc = main([command, "--config",
+                   write_config(tmp_path, {**TINY, "train": big}), *flags,
+                   "--out-dir", str(out), "--threads", "2"])
+        err = capsys.readouterr().err.splitlines()
+        if command == "bench":
+            assert rc == 2
+            assert err == ["error: bench: seed 0 diverged (non-finite loss "
+                           "or logits) at epoch 0"]
+            assert not out.exists()
+            return
+        assert rc == 0
+        assert err == divergence_warnings(cells, [0, 1])
+        if command == "train":
+            runs = json.loads((out / "summary.json").read_text())["runs"]
+            assert [(r["best_epoch"], r["best_val_acc"], r["test_acc"],
+                     r["alpha"], r["beta"], r["num_epochs"], r["diverged"])
+                    for r in runs] == [(-1, 0.0, 0.0, [], [], 0, True)] * 2
 
 
 class TestCsbmGenCommand:
@@ -408,6 +464,22 @@ class TestAnalyzeCommand:
                    "--out-dir", str(out)])
         assert rc == 0
         assert json.loads((out / "analyze.json").read_text())["nodes"] == 100
+
+    def test_edgeless_files_dataset_has_no_smoothness(self, tmp_path):
+        # Label smoothness is a fraction of the edges; with none it is null.
+        (tmp_path / "edges.txt").write_text("# no edges\n")
+        (tmp_path / "features.csv").write_text("0.5,1.0\n0.25,2.0\n1.5,0.0\n")
+        (tmp_path / "labels.txt").write_text("0\n1\n0\n")
+        cfg = {"dataset": {
+            "kind": "files", "edges": str(tmp_path / "edges.txt"),
+            "features": str(tmp_path / "features.csv"),
+            "labels": str(tmp_path / "labels.txt")}}
+        out = tmp_path / "runs"
+        assert main(["analyze", "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out)]) == 0
+        report = json.loads((out / "analyze.json").read_text())
+        assert (report["nodes"], report["edges"]) == (3, 0)
+        assert report["label_smoothness"] is None
 
     def test_missing_files_exit_3(self, tmp_path):
         cfg = {"dataset": {"kind": "files",

@@ -251,6 +251,13 @@ class TestCmdSweep:
         with pytest.raises(ConfigError):
             cmd_sweep_degrees(tiny_config(), [0, 7], [0])
 
+    @pytest.mark.parametrize("arch", ["GCN", "JKNet", "BernNet"])
+    def test_single_degree_arch_takes_one_k2(self, no_draw, arch):
+        # The baselines ignore k2, so a k2 range would train each k1 cell
+        # once per k2 value; it fails before any dataset is drawn.
+        with pytest.raises(ConfigError, match=f"{arch} has one degree"):
+            cmd_sweep_degrees(tiny_config(arch=arch), [1, 2], [0, 3])
+
 
 class TestCmdOversmooth:
     def test_rows_for_all_architectures(self):

@@ -36,8 +36,9 @@ def matrix_power(M, k):
 class TestInit:
     def test_filter_coefficients_all_ones(self):
         params = init_params("GSCNet", 4, 3, 2, 1, seed=0)
-        assert np.array_equal(params.alpha, [1.0, 1.0, 1.0])
-        assert np.array_equal(params.beta, [1.0, 1.0])
+        na = params.prop.na
+        assert np.array_equal(params.c[:na], [1.0, 1.0, 1.0])
+        assert np.array_equal(params.c[na:], [1.0, 1.0])
 
     def test_same_seed_bit_identical(self):
         a = init_params("GSCNet", 5, 2, 2, 2, seed=7)
@@ -61,7 +62,8 @@ class TestInit:
             params = init_params(arch, 4, 2, k1, k2, seed=0)
             assert (params.prop.k1, params.prop.k2) == (k1, k2)
             assert (params.prop.na, params.prop.nb) == sizes
-            assert (params.alpha.size, params.beta.size) == sizes
+            na = params.prop.na
+            assert (params.c[:na].size, params.c[na:].size) == sizes
 
     def test_unknown_arch_rejected(self):
         with pytest.raises(InputError):
@@ -97,8 +99,9 @@ class TestForward:
         params.b1[:] = 0.0
         params.w2[:] = 1.0
         params.b2[:] = 0.0
-        params.alpha[:] = [0.5, 2.0]
-        params.beta[:] = [0.25, -1.0]
+        na = params.prop.na
+        params.c[:na] = [0.5, 2.0]
+        params.c[na:] = [0.25, -1.0]
         logits, _ = forward(params, g, X)
         H = np.maximum(X @ params.w1, 0.0) @ params.w2
         S = dense_shifted_ref(K2_EDGES, 2)
@@ -158,8 +161,9 @@ class TestForward:
         g = build_csr(edges, n)
         X = rng.normal(size=(n, 4))
         params = init_params(arch, 4, 3, k1, 0, seed=2)
-        if params.alpha.size:
-            params.alpha[:] = rng.normal(size=params.alpha.shape)
+        if params.c.size:
+            params.c[:] = rng.normal(size=params.c.shape)
+        alpha = params.c[:params.prop.na]
         logits, _ = forward(params, g, X)
 
         H = mlp_eval(params, X)
@@ -170,10 +174,10 @@ class TestForward:
             dense = matrix_power(M, k1) @ H
         elif arch == "JKNet":
             dense = sum(a * matrix_power(M, k + 1) @ H
-                        for k, a in enumerate(params.alpha))
+                        for k, a in enumerate(alpha))
         else:  # BernNet: coefficient k multiplies (2I-L)^k L^{K-k}
             dense = sum(a * matrix_power(S, k) @ matrix_power(L, k1 - k) @ H
-                        for k, a in enumerate(params.alpha))
+                        for k, a in enumerate(alpha))
         assert np.abs(logits - dense).max() <= 1e-9
 
     def test_end_to_end_permutation_equivariance(self, rng):
@@ -242,7 +246,8 @@ class TestGradients:
     def test_gscnet_coefficient_gradients_are_dense_block_products(
             self, rng, k1, k2):
         """alpha_i's gradient is <dZ, P_i H> and beta_j's is <dZ, Q_j H>,
-        with P_i = (2I-L)^i and Q_j = L^j built densely."""
+        with P_i = (2I-L)^i and Q_j = L^j built densely; c = (alpha, beta)
+        splits at prop.na."""
         n = 16
         edges = connected_edges(rng, n)
         g = build_csr(edges, n)
@@ -251,8 +256,7 @@ class TestGradients:
         mask = rng.random(n) < 0.5
         mask[0] = True
         params = init_params("GSCNet", 4, 3, k1, k2, seed=1)
-        params.alpha[:] = rng.normal(size=params.alpha.shape)
-        params.beta[:] = rng.normal(size=params.beta.shape)
+        params.c[:] = rng.normal(size=params.c.shape)
         cfg = TrainConfig(dropout_conv=0.0, dropout_linear=0.0)
         _, grads = loss_and_grad(params, g, X, labels, mask, cfg)
 
@@ -261,14 +265,15 @@ class TestGradients:
         H = mlp_eval(params, X)
         S = dense_shifted_ref(edges, n)
         L = dense_laplacian_ref(edges, n)
-        for name, M, k in (("alpha", S, k1), ("beta", L, k2)):
+        na = params.prop.na
+        for dc, M, k in ((grads["c"][:na], S, k1), (grads["c"][na:], L, k2)):
+            assert dc.size == k + 1  # none for a family switched off
             if k < 0:
-                assert name not in grads
                 continue
             dense = [float(np.vdot(dZ, matrix_power(M, i) @ H))
                      for i in range(k + 1)]
             scale = max(np.abs(dense).max(), 1e-30)
-            assert np.abs(grads[name] - dense).max() <= 1e-10 * scale
+            assert np.abs(dc - dense).max() <= 1e-10 * scale
 
     def test_wide_input_dropout_within_twice_the_features(self):
         # The input mask is built in its uniforms' buffer, which then
@@ -475,8 +480,7 @@ class TestAdam:
         assert not np.array_equal(params.w1, before.w1)
         assert not np.array_equal(params.w2, before.w2)
         assert np.array_equal(params.b1, before.b1)
-        assert np.array_equal(params.alpha, [1.0, 1.0])
-        assert np.array_equal(params.beta, [1.0, 1.0])
+        assert np.array_equal(params.c, [1.0, 1.0, 1.0, 1.0])
         # Large entries shrink toward zero.
         big = np.abs(before.w1) > 2 * cfg.lr_linear
         assert (np.abs(params.w1)[big] < np.abs(before.w1)[big]).all()
@@ -529,6 +533,26 @@ class TestTraining:
         short = run(b + 1)
         assert full.alpha == short.alpha
         assert full.beta == short.beta
+
+    def test_non_finite_evaluation_keeps_earlier_selection(self, monkeypatch):
+        # The evaluation after epoch 3's step reads non-finite logits: the
+        # run stops there, and the selection is that of epochs 0-2.
+        real = train.evaluate
+        calls = []
+
+        def evaluate(params, ds, split):
+            calls.append(params)
+            return None if len(calls) == 4 else real(params, ds, split)
+        monkeypatch.setattr(train, "evaluate", evaluate)
+        ds = csbm_generate(CsbmParams(n=60, d=6, seed=3))
+        split = random_split(ds.n, seed=3)
+        cfg = TrainConfig(epochs=10, patience=10, seed=3)
+        record = train_single(ds, split, "GSCNet", 1, 1, cfg)
+        assert record.diverged and len(record.epochs) == 3
+        monkeypatch.setattr(train, "evaluate", real)
+        short = train_single(ds, split, "GSCNet", 1, 1,
+                             dataclasses.replace(cfg, epochs=3))
+        assert record.to_json() == {**short.to_json(), "diverged": True}
 
     def test_patience_stops_a_flat_run(self, monkeypatch):
         # Validation accuracy never rises after epoch 0, so the run stops
