@@ -79,8 +79,9 @@ def _cmd_train(args) -> int:
         os.path.join(out, "summary.json"),
         {**s, "runs": [r.to_json() for r in result["records"]]}, config)
     cell = f"{config.arch} (k1={config.k1}, k2={config.k2})"
-    print(f"{cell}: test acc {s['mean_test_acc']:.4f} +/- {s['ci95']:.4f} "
-          f"over {len(config.seeds)} seed(s)")
+    print(f"{cell}: test acc {s['mean_test_acc']:.4f} +/- "
+          f"{experiments.format_ci(s['ci95'], 4)} over {len(config.seeds)} "
+          "seed(s)")
     _warn_diverged(cell, s["diverged_seeds"])
     return 0
 
@@ -134,18 +135,18 @@ def _cmd_ablate(args) -> int:
     experiments.write_with_environment(
         os.path.join(out, "ablate.json"), table, config)
     for variant, row in table["rows"].items():
-        print(f"{variant}: {row['mean_test_acc']:.4f} +/- {row['ci95']:.4f}")
+        print(f"{variant}: {row['mean_test_acc']:.4f} +/- "
+              f"{experiments.format_ci(row['ci95'], 4)}")
         k1, k2 = row["degrees"]
         _warn_diverged(f"{variant} (k1={k1}, k2={k2})", row["diverged_seeds"])
     return 0
 
 
 def _cmd_bench(args) -> int:
-    config = experiments.bench_config(_load_config(args))
+    config = _load_config(args)
     report = experiments.cmd_bench(config, warmup=args.warmup)
     out = _out_dir(args)
-    experiments.write_with_environment(os.path.join(out, "bench.json"),
-                                       report, config)
+    experiments.write_json(os.path.join(out, "bench.json"), report)
     with open(os.path.join(out, "bench_epochs.csv"), "w",
               encoding="utf-8") as f:
         f.write("epoch,ms\n")
@@ -204,11 +205,9 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     report = suite.run_suite(seed=args.seed, quick=args.quick)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        experiments.write_json(args.out, report)
     return 0 if report["passed"] else 4
 
 

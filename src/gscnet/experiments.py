@@ -6,8 +6,9 @@ dataset and split, so comparisons are paired rather than confounded by
 sampling. The seed is the one unit of fan-out: each seed's job builds its
 dataset and split once and trains all of the command's cells on them, on
 min(threads, seeds) worker threads with per-run generators. A file dataset
-is loaded once per command, before the fan-out. Aggregation sorts by seed
-so the output is order-independent.
+is loaded once per command, before the fan-out. Seeds are submitted in
+seed order and their records kept in it, so the output does not depend on
+the order of the seed list.
 
 BLAS threads: while more than one worker runs, OpenBLAS is capped to its
 share of the cores per worker, max(1, min(current, nproc // workers)), and
@@ -97,7 +98,6 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         obj = dict(obj)
-        obj.pop("schema", None)
         try:
             train = obj.pop("train", {})
             if "seed" in train:
@@ -237,53 +237,54 @@ def fan_out_workers(config: ExperimentConfig) -> int:
     return min(config.threads, len(config.seeds))
 
 
-def _fan_out(config: ExperimentConfig, jobs: list) -> list:
-    """jobs: list of (key, callable); returns [(key, result)] sorted by key."""
-    workers = fan_out_workers(config)
-    if workers == 1:
-        results = [(key, fn()) for key, fn in jobs]
-    else:
-        with blas_threads_per_worker(workers), \
-                ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(key, pool.submit(fn)) for key, fn in jobs]
-            try:
-                # Results are read as they finish, so the first seed to fail
-                # raises at once; it, or an interrupt, cancels the seeds no
-                # worker has started.
-                for done in as_completed(f for _, f in futures):
-                    done.result()
-                results = [(key, f.result()) for key, f in futures]
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return sorted(results, key=lambda kv: kv[0])
-
-
-def _run_cells(config: ExperimentConfig, cells) -> list:
-    """Train every (arch, k1, k2) cell on every seed, one job per seed;
-    returns, per cell, its RunRecords in seed order. Each cell's degrees
-    are checked first, so a bad degree fails before any dataset is drawn."""
+def _fan_out(config: ExperimentConfig, cells) -> list:
+    """Train every (arch, k1, k2) cell on every seed, one `_run_one_seed`
+    job per seed, submitted in seed order; returns, per cell, its
+    RunRecords in seed order. Each cell's degrees are checked first, so a
+    bad degree fails before any dataset is drawn."""
     cells = list(cells)
     for arch, k1, k2 in cells:
         propagation(arch, k1, k2)
     source = _dataset_source(config.dataset)
-    jobs = [(seed, functools.partial(_run_one_seed, config, source, seed,
-                                     cells))
-            for seed in config.seeds]
-    per_seed = [records for _, records in _fan_out(config, jobs)]
+    seeds = sorted(config.seeds)
+    workers = fan_out_workers(config)
+    if workers == 1:
+        per_seed = [_run_one_seed(config, source, seed, cells)
+                    for seed in seeds]
+    else:
+        with blas_threads_per_worker(workers), \
+                ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_one_seed, config, source, seed, cells)
+                       for seed in seeds]
+            try:
+                # Results are read as they finish, so the first seed to fail
+                # raises at once; it, or an interrupt, cancels the seeds no
+                # worker has started.
+                for done in as_completed(futures):
+                    done.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
+        per_seed = [f.result() for f in futures]
     return [list(records) for records in zip(*per_seed)]
+
+
+def format_ci(ci, digits: int) -> str:
+    """A cell's ci95 as text; an undefined one (one seed) reads nan."""
+    return f"{math.nan if ci is None else ci:.{digits}f}"
 
 
 def summarize_records(records: list) -> dict:
     """The one summary of a trained cell's RunRecords, in every command."""
     mean, ci = mean_ci95([r.test_acc for r in records])
-    return {"mean_test_acc": mean, "ci95": ci,
+    # One seed has no interval; JSON has no NaN, so it reads null.
+    return {"mean_test_acc": mean, "ci95": None if math.isnan(ci) else ci,
             "per_seed": {str(r.seed): r.test_acc for r in records},
             "diverged_seeds": [r.seed for r in records if r.diverged]}
 
 
 def cmd_train(config: ExperimentConfig) -> dict:
     """Train config.arch over the seed list; summary uses best-val selection."""
-    records, = _run_cells(config, [(config.arch, config.k1, config.k2)])
+    records, = _fan_out(config, [(config.arch, config.k1, config.k2)])
     summary = {"schema": SCHEMA_VERSION, "command": "train",
                "arch": config.arch, "k1": config.k1, "k2": config.k2,
                "dataset": config.dataset, **summarize_records(records)}
@@ -305,7 +306,7 @@ def cmd_sweep_degrees(config: ExperimentConfig, k1_range, k2_range) -> dict:
                           f"{len(set(k2_range))} times")
 
     grid = sorted({(k1, k2) for k1 in k1_range for k2 in k2_range})
-    per_cell = _run_cells(config, [(config.arch, k1, k2) for k1, k2 in grid])
+    per_cell = _fan_out(config, [(config.arch, k1, k2) for k1, k2 in grid])
     cells = [{"k1": k1, "k2": k2, **summarize_records(records)}
              for (k1, k2), records in zip(grid, per_cell)]
     means = [c["mean_test_acc"] for c in cells]
@@ -326,7 +327,7 @@ def cmd_oversmooth(config: ExperimentConfig, depths) -> dict:
     cells = {(arch, d): (arch, d, d if arch == "GSCNet" else 0)
              for arch in ARCHITECTURES for d in depths}
     summaries = {key: summarize_records(records) for key, records
-                 in zip(cells, _run_cells(config, cells.values()))}
+                 in zip(cells, _fan_out(config, cells.values()))}
     rows, diverged = (
         {arch: {str(d): summaries[arch, d][field] for d in depths}
          for arch in ARCHITECTURES}
@@ -349,8 +350,8 @@ def cmd_ablate_activations(config: ExperimentConfig) -> dict:
     variant_degrees = {"positive": (config.k1, -1),
                        "negative": (-1, config.k2),
                        "mixed": (config.k1, config.k2)}
-    per_cell = _run_cells(config, [("GSCNet", k1, k2)
-                                   for k1, k2 in variant_degrees.values()])
+    per_cell = _fan_out(config, [("GSCNet", k1, k2)
+                                 for k1, k2 in variant_degrees.values()])
     rows = {variant: {**summarize_records(records), "degrees": list(degrees)}
             for (variant, degrees), records in zip(variant_degrees.items(),
                                                    per_cell)}
@@ -358,23 +359,20 @@ def cmd_ablate_activations(config: ExperimentConfig) -> dict:
             "dataset": config.dataset, "rows": rows}
 
 
-def bench_config(config: ExperimentConfig) -> ExperimentConfig:
-    """The config `cmd_bench` runs: the first seed, every epoch."""
-    return replace(config, seeds=config.seeds[:1],
-                   train=replace(config.train, patience=config.train.epochs))
-
-
 def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
     """Per-epoch wall time (mean over measured epochs, warmup excluded) and
-    total seconds, plus the per-epoch series for cumulative-time plots."""
+    total seconds, plus the per-epoch series for cumulative-time plots, of
+    one serial run: the first seed, every epoch. The report carries the
+    `environment` block of that one worker."""
     if warmup < 0:
         raise ConfigError("warmup must be >= 0")
     if config.train.epochs - warmup < 1:
         raise ConfigError(
             f"no measurement window: epochs={config.train.epochs} "
             f"with warmup={warmup}")
-    (record,), = _run_cells(bench_config(config),
-                            [(config.arch, config.k1, config.k2)])
+    config = replace(config, seeds=config.seeds[:1],
+                     train=replace(config.train, patience=config.train.epochs))
+    (record,), = _fan_out(config, [(config.arch, config.k1, config.k2)])
     if record.diverged:
         raise GscnetError(f"bench: seed {record.seed} diverged (non-finite "
                           f"loss or logits) at epoch {len(record.epochs)}")
@@ -385,7 +383,8 @@ def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
             "dataset": config.dataset, "warmup": warmup,
             "epochs_measured": len(measured),
             "per_epoch_ms": float(np.mean(measured)),
-            "total_s": record.total_s, "series_ms": series}
+            "total_s": record.total_s, "series_ms": series,
+            "environment": environment(1)}
 
 
 def measure_cache_build(ds: Dataset, degree_pairs, repeats: int = 5) -> list:
@@ -403,7 +402,7 @@ def measure_cache_build(ds: Dataset, degree_pairs, repeats: int = 5) -> list:
 
 def write_json(path, obj: dict):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -418,15 +417,16 @@ def write_records_jsonl(path, record: RunRecord):
     with open(path, "w", encoding="utf-8") as f:
         for e in record.epochs:
             f.write(json.dumps({"schema": SCHEMA_VERSION, "seed": record.seed,
-                                **e.to_json()}, sort_keys=True) + "\n")
+                                **e.to_json()}, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def write_grid_csv(path, sweep: dict):
     with open(path, "w", encoding="utf-8") as f:
         f.write("k1,k2,mean_test_acc,ci95\n")
         for cell in sweep["cells"]:
-            f.write(f"{cell['k1']},{cell['k2']},"
-                    f"{cell['mean_test_acc']:.6f},{cell['ci95']:.6f}\n")
+            f.write(f"{cell['k1']},{cell['k2']},{cell['mean_test_acc']:.6f},"
+                    f"{format_ci(cell['ci95'], 6)}\n")
 
 
 def write_depth_csv(path, table: dict):

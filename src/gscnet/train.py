@@ -94,17 +94,17 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
     record = RunRecord(seed=cfg.seed, arch=arch, k1=k1, k2=k2)
     t_start = time.perf_counter()
 
-    if cfg.epochs == 0:
-        if (scores := evaluate(params, ds, split)) is None:
-            record.diverged = True
-        else:
-            record.select(0, *scores, params)
+    # A diverging step overflows; the checks below catch it, so numpy need
+    # not warn. The state is per thread, and so is the run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.epochs == 0:
+            if (scores := evaluate(params, ds, split)) is None:
+                record.diverged = True
+            else:
+                record.select(0, *scores, params)
 
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        # A diverging step overflows; the checks below catch it, so numpy
-        # need not warn. The state is per thread, and so is the run.
-        with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
             loss, grads = loss_and_grad(params, ds.graph, ds.features,
                                         ds.labels, split.train, cfg,
                                         rng=rng_drop)
@@ -112,16 +112,17 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
             if math.isfinite(loss):
                 adam_step(params, grads, state, cfg)
                 scores = evaluate(params, ds, split)
-        if scores is None:
-            record.diverged = True
-            break
-        val_acc, test_acc = scores
-        ms = (time.perf_counter() - t0) * 1e3
-        record.epochs.append(EpochStats(epoch, loss, val_acc, test_acc, ms))
-        if record.best_epoch < 0 or val_acc > record.best_val_acc:
-            record.select(epoch, val_acc, test_acc, params)
-        elif epoch - record.best_epoch > cfg.patience:
-            break
+            if scores is None:
+                record.diverged = True
+                break
+            val_acc, test_acc = scores
+            ms = (time.perf_counter() - t0) * 1e3
+            record.epochs.append(EpochStats(epoch, loss, val_acc, test_acc,
+                                            ms))
+            if record.best_epoch < 0 or val_acc > record.best_val_acc:
+                record.select(epoch, val_acc, test_acc, params)
+            elif epoch - record.best_epoch > cfg.patience:
+                break
 
     record.total_s = time.perf_counter() - t_start
     return record

@@ -78,6 +78,11 @@ class TestBasisCache:
         with pytest.raises(InputError):
             build_basis_cache(g, np.zeros((2, 1)), -1)
 
+    def test_feature_row_mismatch_rejected(self):
+        g = build_csr(K2_EDGES, 2)
+        with pytest.raises(InputError, match="feature rows"):
+            build_basis_cache(g, np.zeros((3, 1)), 1)
+
 
 class TestGscWeights:
     def test_binomial_rows(self):

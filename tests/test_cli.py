@@ -12,6 +12,7 @@ from gscnet.data import CsbmParams, csbm_params_for
 from gscnet.errors import InputError
 from gscnet.experiments import ExperimentConfig, make_dataset
 from gscnet.model import ARCHITECTURES, TrainConfig
+from gscnet.train import EpochStats, RunRecord
 from test_acceptance import CONFIG_DIR, PROTOCOLS
 
 TINY = {"dataset": {"kind": "csbm", "n": 80, "d": 6, "p_intra": 0.3,
@@ -150,6 +151,7 @@ class TestTrainCommand:
         {"dataset": {**TINY["dataset"], "mu": float("inf")}},
         {"dataset": {"kind": "csbm", "regime": "homophily", "n": 80,
                      "expected_degree": True}},
+        {"schema": experiments.SCHEMA_VERSION},
     ], ids=["dataset-string", "dataset-kind-unknown", "seeds-empty",
             "seeds-duplicate", "k1-string", "k2-float", "gcn-depth-float",
             "epochs-float", "patience-bool", "jknet-degree-0", "threads-float",
@@ -158,7 +160,7 @@ class TestTrainCommand:
             "decay-bool", "dropout-conv-bool", "dropout-linear-bool",
             "csbm-d-float", "csbm-n-float", "csbm-sigma-bool",
             "csbm-p-intra-bool", "csbm-sigma-nan", "csbm-mu-inf",
-            "regime-degree-bool"])
+            "regime-degree-bool", "schema-key"])
     def test_mistyped_value_exits_2_before_any_draw(
             self, tmp_path, capsys, no_draw, override):
         out = tmp_path / "runs"
@@ -352,6 +354,52 @@ class TestDivergenceWarning:
             assert [(r["best_epoch"], r["best_val_acc"], r["test_acc"],
                      r["alpha"], r["beta"], r["num_epochs"], r["diverged"])
                     for r in runs] == [(-1, 0.0, 0.0, [], [], 0, True)] * 2
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict parsers do."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    # A training command, its flags for TINY, its artifact and the ci95
+    # values in that artifact.
+    @pytest.mark.parametrize("command, flags, artifact, cis", [
+        ("train", [], "summary.json", lambda a: [a["ci95"]]),
+        ("sweep", ["--k1-range", "0:1", "--k2-range", "1"], "sweep.json",
+         lambda a: [cell["ci95"] for cell in a["cells"]]),
+        ("ablate", [], "ablate.json",
+         lambda a: [row["ci95"] for row in a["rows"].values()]),
+    ], ids=["train", "sweep", "ablate"])
+    def test_one_seed_artifacts(self, tmp_path, capsys, command, flags,
+                                artifact, cis):
+        out = tmp_path / "runs"
+        assert main([command, "--config",
+                     write_config(tmp_path, {**TINY, "seeds": [0]}), *flags,
+                     "--out-dir", str(out)]) == 0
+        for path in out.glob("*.json"):
+            strict_json(path.read_text())
+        for path in out.glob("*.jsonl"):
+            for line in path.read_text().splitlines():
+                strict_json(line)
+        ci = cis(strict_json((out / artifact).read_text()))
+        assert ci and all(c is None for c in ci)
+        if command == "sweep":
+            rows = (out / "sweep.csv").read_text().splitlines()[1:]
+            assert all(row.endswith(",nan") for row in rows)
+        else:
+            assert "+/- nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_writers_refuse_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            experiments.write_json(tmp_path / "x.json", {"x": value})
+        record = RunRecord(seed=0, arch="GSCNet", k1=1, k2=1,
+                           epochs=[EpochStats(0, value, 0.5, 0.5, 1.0)])
+        with pytest.raises(ValueError):
+            experiments.write_records_jsonl(tmp_path / "x.jsonl", record)
 
 
 class TestCsbmGenCommand:

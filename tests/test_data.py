@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gscnet
 from gscnet import data
-from gscnet.data import (CsbmParams, Dataset, _triu_pairs,
+from gscnet.data import (CsbmParams, Dataset, Split, _triu_pairs,
                          csbm_generate, csbm_params_for, load_dataset,
                          random_split, save_dataset)
 from gscnet.errors import DataError, DegenerateInputError, InputError
@@ -83,6 +83,10 @@ class TestCsbmGenerate:
     def test_degenerate_probabilities_rejected(self):
         with pytest.raises(DegenerateInputError):
             CsbmParams(n=10, p_intra=0.0, p_inter=0.0)
+
+    def test_zero_feature_dimension_rejected(self):
+        with pytest.raises(InputError, match="feature dimension"):
+            CsbmParams(n=10, d=0)
 
     def test_odd_n_rejected(self):
         with pytest.raises(InputError):
@@ -174,6 +178,16 @@ class TestRandomSplit:
         a, b = random_split(40, seed=9), random_split(40, seed=9)
         assert np.array_equal(a.train, b.train)
         assert np.array_equal(a.test, b.test)
+
+    @pytest.mark.parametrize("masks, match", [
+        ((np.ones(2, dtype=int), np.zeros(2, dtype=int),
+          np.zeros(2, dtype=int)), "boolean"),
+        ((np.array([True, True]), np.array([True, False]),
+          np.array([False, False])), "disjoint"),
+    ], ids=["not-boolean", "overlapping"])
+    def test_malformed_masks_rejected(self, masks, match):
+        with pytest.raises(InputError, match=match):
+            Split(*masks)
 
     @given(st.integers(min_value=1, max_value=1000))
     @settings(max_examples=60, deadline=None)
@@ -308,6 +322,15 @@ class TestDatasetInvariants:
         with pytest.raises(InputError):
             Dataset(graph=g, features=np.zeros((2, 2)),
                     labels=np.array([0, 5]), num_classes=2)
+
+    @pytest.mark.parametrize("features, labels, match", [
+        (np.zeros((3, 1)), np.array([0, 1]), "feature rows"),
+        (np.zeros((2, 1)), np.array([0, 1, 0]), "labels shape"),
+    ], ids=["feature-rows", "label-count"])
+    def test_shape_mismatch_rejected(self, features, labels, match):
+        g = build_csr([(0, 1)], 2)
+        with pytest.raises(InputError, match=match):
+            Dataset(graph=g, features=features, labels=labels, num_classes=2)
 
     def test_nan_features_rejected(self):
         g = build_csr([(0, 1)], 2)

@@ -300,6 +300,22 @@ class TestCmdBench:
             cmd_bench(tiny_config(seeds=[1]), warmup=1)
 
 
+class TestMeasureCacheBuild:
+    def test_pairs_take_turns_in_each_repeat(self, monkeypatch):
+        degrees = []
+        real = experiments.build_basis_cache
+
+        def build(g, X, K):
+            degrees.append(K)
+            return real(g, X, K)
+        monkeypatch.setattr(experiments, "build_basis_cache", build)
+        ds = make_dataset(TINY_CSBM, 0)
+        times = experiments.measure_cache_build(ds, [(1, 1), (2, 3)],
+                                                repeats=3)
+        assert degrees == [1, 3] * 3
+        assert len(times) == 2 and all(t > 0 for t in times)
+
+
 class TestCellSummaries:
     # Each command that trains a grid of cells, its cells' diverged seeds
     # and its number of cells.
@@ -382,7 +398,8 @@ class TestBlasThreadsPerWorker:
                 **{**BLAS_SIZED.__dict__, "threads": 1}))
         assert fingerprints(fanned) == fingerprints(serial)
 
-    def test_count_capped_in_workers_and_restored_after_raise(self):
+    def test_count_capped_in_workers_and_restored_after_raise(
+            self, monkeypatch):
         _, get, _ = needs_openblas()
         before = get()
         seen = []
@@ -391,14 +408,14 @@ class TestBlasThreadsPerWorker:
         # that have not started.
         both_started = threading.Barrier(2, timeout=10)
 
-        def job():
+        def run_one_seed(config, source, seed, cells):
             seen.append(get())
             both_started.wait()
             raise RuntimeError("job failed")
 
+        monkeypatch.setattr(experiments, "_run_one_seed", run_one_seed)
         with pytest.raises(RuntimeError):
-            experiments._fan_out(tiny_config(threads=2),
-                                 [(0, job), (1, job)])
+            cmd_train(tiny_config(threads=2))
         assert get() == before
         share = max(1, min(before, experiments._nproc() // 2))
         assert seen == [share, share]

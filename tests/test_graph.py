@@ -61,6 +61,10 @@ class TestBuildCsr:
         with pytest.raises(InputError):
             build_csr([(-1, 0)], 3)
 
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(InputError, match="node count"):
+            build_csr([], -1)
+
     def test_tuples_and_int_array_agree(self, rng):
         edges = er_edges(rng, 25, 0.3) + [(7, 2), (2, 7)]
         a = build_csr(edges, 25).adjacency
@@ -132,6 +136,11 @@ class TestLaplacianApply:
         g = build_csr(K2_EDGES, 2)
         with pytest.raises(InputError):
             laplacian_apply(g, np.zeros(3))
+
+    def test_three_dimensional_operand_rejected(self):
+        g = build_csr(K2_EDGES, 2)
+        with pytest.raises(InputError, match="ndim=3"):
+            laplacian_apply(g, np.zeros((2, 1, 1)))
 
 
 class TestShiftedApply:

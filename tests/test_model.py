@@ -154,6 +154,14 @@ class TestForward:
         with pytest.raises(InputError):
             forward(params, g, rng.normal(size=(2, 3)))
 
+    @pytest.mark.parametrize("X", [np.zeros(5), np.zeros((4, 3))],
+                             ids=["vector", "row-count"])
+    def test_feature_shape_rejected(self, X):
+        g = build_csr(connected_edges(np.random.default_rng(0), 5), 5)
+        params = init_params("GSCNet", 3, 2, 1, 1, seed=0)
+        with pytest.raises(InputError, match="features of shape"):
+            forward(params, g, X)
+
     @pytest.mark.parametrize("arch,k1", [("GCN", 3), ("JKNet", 3), ("BernNet", 3)])
     def test_baselines_match_dense_formulas(self, rng, arch, k1):
         n = 18
@@ -553,6 +561,18 @@ class TestTraining:
         short = train_single(ds, split, "GSCNet", 1, 1,
                              dataclasses.replace(cfg, epochs=3))
         assert record.to_json() == {**short.to_json(), "diverged": True}
+
+    def test_overflowing_zero_epoch_evaluation_diverges(self):
+        # Features near the float64 maximum overflow the initial model's
+        # forward: with no epoch to train, that evaluation marks the run
+        # diverged, and numpy warns of nothing (pytest would raise).
+        ds = csbm_generate(CsbmParams(n=40, d=6, seed=3))
+        ds = dataclasses.replace(ds, features=np.full_like(ds.features,
+                                                            1.7e308))
+        record = train_single(ds, random_split(ds.n, seed=3), "GSCNet", 1, 1,
+                              TrainConfig(epochs=0, seed=3))
+        assert record.diverged and record.best_epoch == -1
+        assert record.to_json()["num_epochs"] == 0
 
     def test_patience_stops_a_flat_run(self, monkeypatch):
         # Validation accuracy never rises after epoch 0, so the run stops

@@ -148,6 +148,20 @@ class TestClassifyGraphActivation:
             assert classify_graph_activation(combo, g).positive
 
 
+class TestInputGuards:
+    @pytest.mark.parametrize("call, match", [
+        (lambda g: transform(g, "adjacency"), "unknown transform kind"),
+        (lambda g: positive_combination_check([], g), "non-empty 1-D"),
+        (lambda g: positive_combination_check([[1.0]], g), "non-empty 1-D"),
+        (lambda g: label_smoothness(g, [0, 1, 0]), "expected 2 labels"),
+        (lambda g: rayleigh_quotient(g, np.ones(3)), "length 2"),
+    ], ids=["transform-kind", "coefficients-empty", "coefficients-2d",
+            "label-count", "rayleigh-length"])
+    def test_malformed_input_rejected(self, call, match):
+        with pytest.raises(InputError, match=match):
+            call(build_csr(K2_EDGES, 2))
+
+
 class TestPositiveCombination:
     def test_k2_first_order(self):
         g = build_csr(K2_EDGES, 2)

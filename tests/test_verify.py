@@ -101,6 +101,11 @@ class TestDenseMatrixPower:
         assert np.array_equal(dense_matrix_power(dense_laplacian(g), 0),
                               np.eye(3))
 
+    def test_negative_power_rejected(self):
+        g = build_csr(K2_EDGES, 2)
+        with pytest.raises(InputError, match="non-negative"):
+            dense_matrix_power(dense_laplacian(g), -1)
+
     def test_shifted_on_k2(self):
         g = build_csr(K2_EDGES, 2)
         assert np.allclose(dense_matrix_power(dense_shifted(g), 1),
