@@ -166,7 +166,7 @@ def _cmd_csbm_gen(args) -> int:
                  os.path.join(out, "features.csv"),
                  os.path.join(out, "labels.txt"))
     sidecar = {"schema": SCHEMA_VERSION, "params": params.to_json(),
-               "realized": ds.stats()}
+               "realized": pnca.dataset_stats(ds)}
     experiments.write_json(os.path.join(out, "csbm.json"), sidecar)
     print(f"wrote {out}/: n={ds.n}, |E|={ds.graph.num_edges}, "
           f"label_smoothness={sidecar['realized']['label_smoothness']:.4f}")
@@ -178,7 +178,8 @@ def _cmd_analyze(args) -> int:
     seed = config.seeds[0]
     ds = experiments.make_dataset(config.dataset, seed)
     report = {"schema": SCHEMA_VERSION, "command": "analyze",
-              "dataset": config.dataset, "seed": seed, **ds.stats()}
+              "dataset": config.dataset, "seed": seed,
+              **pnca.dataset_stats(ds)}
     g = ds.graph
     deg = g.degrees
     report["degree"] = {"min": float(deg.min()) if g.n else 0.0,

@@ -17,10 +17,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import DataError, DegenerateInputError, InputError
-from .graph import SparseGraph, build_csr, num_components
-from .model import is_int, is_real
-from .pnca import label_smoothness
+from .errors import DataError, DegenerateInputError, InputError, is_int, \
+    is_real
+from .graph import SparseGraph, build_csr
 
 
 @dataclass(frozen=True)
@@ -50,16 +49,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-    def stats(self) -> dict:
-        out = {"nodes": self.n, "edges": self.graph.num_edges,
-               "features": self.d, "classes": self.num_classes,
-               "components": num_components(self.graph)}
-        try:
-            out["label_smoothness"] = label_smoothness(self.graph, self.labels)
-        except DegenerateInputError:
-            out["label_smoothness"] = None
-        return out
 
 
 @dataclass(frozen=True)

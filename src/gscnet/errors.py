@@ -1,8 +1,20 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy and number predicates shared across the package.
 
 CLI exit codes: config problems exit 2, data problems exit 3, verification
 failures exit 4 (see cli.main).
 """
+
+import numbers
+
+import numpy as np
+
+
+def is_int(value) -> bool:  # a bool is an int to Python, but not here
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:  # nor is it a real number here
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class GscnetError(Exception):

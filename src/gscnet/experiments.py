@@ -36,8 +36,8 @@ import numpy as np
 from .basis import build_basis_cache
 from .data import (CsbmParams, Dataset, csbm_generate, csbm_params_for,
                    load_dataset, random_split)
-from .errors import ConfigError, GscnetError, InputError
-from .model import ARCHITECTURES, TrainConfig, is_int, propagation
+from .errors import ConfigError, GscnetError, InputError, is_int
+from .model import ARCHITECTURES, TrainConfig, propagation
 from .train import RunRecord, train_single
 
 SCHEMA_VERSION = "gscnet-experiments/1"

@@ -24,26 +24,17 @@ train time.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import (bernstein_blocks, build_basis_cache, combine, gsc_weights,
                     operator_powers)
-from .errors import InputError
+from .errors import InputError, is_int, is_real
 from .graph import SparseGraph, gcn_norm_apply
 
 ARCHITECTURES = ("GSCNet", "GCN", "JKNet", "BernNet")
 HIDDEN_UNITS = 64
-
-
-def is_int(value) -> bool:  # a bool is an int to Python, but not here
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:  # nor is it a real number here
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -192,13 +183,16 @@ def forward(params: ModelParams, g: SparseGraph, X, rng=None,
 
     def drop_mask(shape, rate):
         # Inverted dropout: the mask is 0 or 1/(1-rate), so eval needs no
-        # rescaling. It is built in the buffer of its uniforms.
+        # rescaling. It is built in the buffer of its uniforms, with no
+        # bool temporary.
         if rate <= 0.0:
             return None
         if rng is None:
             raise InputError("dropout needs an rng")
         u = rng.random(shape)
-        return np.multiply(u >= rate, 1.0 / (1.0 - rate), out=u)
+        np.greater_equal(u, rate, out=u)
+        u *= 1.0 / (1.0 - rate)
+        return u
 
     # The input mask's buffer becomes Xd: one n x d array beyond X.
     mask_lin = drop_mask(X.shape, dropout_linear)

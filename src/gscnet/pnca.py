@@ -20,8 +20,9 @@ import numpy as np
 import scipy.sparse
 
 from . import verify
+from .data import Dataset
 from .errors import ContractViolationError, DegenerateInputError, InputError
-from .graph import SparseGraph, laplacian_apply
+from .graph import SparseGraph, laplacian_apply, num_components
 
 
 def transform(g: SparseGraph, kind: str) -> scipy.sparse.csr_array:
@@ -130,6 +131,18 @@ def label_smoothness(g: SparseGraph, labels) -> float:
                                    "has no edges")
     cross = labels[upper.row] != labels[upper.col]
     return float(np.count_nonzero(cross)) / upper.nnz
+
+
+def dataset_stats(ds: Dataset) -> dict:
+    """Sizes, component count and label smoothness of a dataset; the
+    smoothness is None for a graph without edges."""
+    out = {"nodes": ds.n, "edges": ds.graph.num_edges, "features": ds.d,
+           "classes": ds.num_classes, "components": num_components(ds.graph)}
+    try:
+        out["label_smoothness"] = label_smoothness(ds.graph, ds.labels)
+    except DegenerateInputError:
+        out["label_smoothness"] = None
+    return out
 
 
 def rayleigh_quotient(g: SparseGraph, x) -> float:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gscnet import cli, experiments, suite
+from gscnet import cli, experiments, pnca, suite
 from gscnet.cli import build_parser, main
 from gscnet.data import CsbmParams, csbm_params_for
 from gscnet.errors import InputError
@@ -478,8 +478,8 @@ class TestAnalyzeCommand:
                    "--out-dir", str(out)])
         assert rc == 0
         report = json.loads((out / "analyze.json").read_text())
-        stats = make_dataset(PROTOCOLS["sweep-heterophily"].dataset,
-                             0).stats()
+        stats = pnca.dataset_stats(make_dataset(
+            PROTOCOLS["sweep-heterophily"].dataset, 0))
         for key in ("nodes", "edges", "label_smoothness"):
             assert report[key] == stats[key]
         assert report["activation"]["shifted"]["label"] == "Positive"

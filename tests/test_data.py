@@ -15,7 +15,7 @@ from gscnet.data import (CsbmParams, Dataset, Split, _triu_pairs,
                          random_split, save_dataset)
 from gscnet.errors import DataError, DegenerateInputError, InputError
 from gscnet.graph import build_csr
-from gscnet.pnca import label_smoothness
+from gscnet.pnca import dataset_stats, label_smoothness
 
 from conftest import traced_peak
 
@@ -340,7 +340,7 @@ class TestDatasetInvariants:
 
     def test_stats_reports_smoothness(self):
         ds = csbm_generate(CsbmParams(n=50, d=3, seed=0))
-        stats = ds.stats()
+        stats = dataset_stats(ds)
         assert stats["nodes"] == 50
         assert 0.0 <= stats["label_smoothness"] <= 1.0
         assert stats["components"] >= 1

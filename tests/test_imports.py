@@ -3,12 +3,14 @@ import glob
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# The package's __init__.py imports in order to re-export; its imports are
-# the public API, not dead code.
-MODULES = sorted(
-    p for p in glob.glob(os.path.join(ROOT, "src", "gscnet", "*.py"))
-    + glob.glob(os.path.join(ROOT, "tests", "*.py"))
-    if os.path.basename(p) != "__init__.py")
+PACKAGE = os.path.join(ROOT, "src", "gscnet")
+MODULES = sorted(glob.glob(os.path.join(PACKAGE, "*.py"))
+                 + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+# The package's modules, lowest layer first: each imports only modules
+# listed before it. The package itself (`__init__`) exports nothing, so
+# every name is imported from the module that defines it.
+LAYERS = ("__init__", "errors", "graph", "basis", "verify", "data", "model",
+          "pnca", "train", "experiments", "suite", "cli", "__main__")
 
 
 def unused_imports(source: str) -> list:
@@ -87,9 +89,55 @@ def test_finds_a_private_sibling_import():
 
 def test_no_private_sibling_import():
     found = {}
-    for path in glob.glob(os.path.join(ROOT, "src", "gscnet", "*.py")):
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
         with open(path, encoding="utf-8") as f:
             private = private_sibling_imports(f.read())
         if private:
             found[os.path.relpath(path, ROOT)] = private
+    assert found == {}
+
+
+def package_imports(source: str) -> list:
+    """(line, module) for each package module a source imports, relative
+    (``from . import x``, ``from .x import y``) or absolute (``import
+    gscnet.x``, ``from gscnet import x``); a name that is not a module is
+    read from the package itself, ``__init__``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("gscnet" if node.level else "",
+                                          node.module)))
+            paths = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            top, _, rest = path.partition(".")
+            if top == "gscnet":
+                module = rest.split(".")[0]
+                found.add((node.lineno,
+                           module if module in LAYERS else "__init__"))
+    return sorted(found)
+
+
+def test_finds_a_package_import():
+    source = "import numpy\nfrom . import graph\nfrom .model import forward\n" \
+             "import gscnet.data\nfrom gscnet import ARCHITECTURES\n" \
+             "def f():\n    from .cli import main\n"
+    assert package_imports(source) == [(2, "graph"), (3, "model"), (4, "data"),
+                                       (5, "__init__"), (7, "cli")]
+
+
+def test_modules_import_only_lower_layers():
+    assert sorted(LAYERS) == sorted(
+        os.path.splitext(os.path.basename(p))[0]
+        for p in glob.glob(os.path.join(PACKAGE, "*.py")))
+    found = {}
+    for rank, name in enumerate(LAYERS):
+        with open(os.path.join(PACKAGE, name + ".py"), encoding="utf-8") as f:
+            upward = [(line, module) for line, module in
+                      package_imports(f.read()) if LAYERS.index(module) >= rank]
+        if upward:
+            found[name] = upward
     assert found == {}

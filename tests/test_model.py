@@ -284,9 +284,9 @@ class TestGradients:
             assert np.abs(dc - dense).max() <= 1e-10 * scale
 
     def test_wide_input_dropout_within_twice_the_features(self):
-        # The input mask is built in its uniforms' buffer, which then
-        # becomes Xd: one n x d float array, plus a bool array for the
-        # comparison and the MLP's n x 64 arrays.
+        # The input mask, its keep comparison included, is built in its
+        # uniforms' buffer, which then becomes Xd: one n x d float array,
+        # plus the MLP's n x 64 arrays.
         ds = csbm_generate(CsbmParams(n=1000, d=400, seed=0))
         split = random_split(ds.n, seed=0)
         params = init_params("GSCNet", ds.d, 2, 2, 2, seed=0)
