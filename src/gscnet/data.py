@@ -141,12 +141,8 @@ def csbm_params_for(regime: str, n: int = 1000, d: int = 16, mu: float = 1.0,
 
 # Pairs whose Bernoulli uniforms are drawn per rng.random call. PCG64 yields
 # the same doubles in chunks as in one call, so the size never changes a
-# graph; but it sets more than memory. Freeing an 8 MB chunk raises glibc's
-# dynamic mmap threshold, so training's later 2.5 MB arrays reuse heap
-# pages. With 2^16 pairs, a 4-seed n=5000 `cmd_train` peaked about 8% lower
-# but took 0.1-0.3 M page faults per run (at most 2 k with 2^20) and ran
-# slower; one 8 MB allocate-and-free at start removed those faults.
-PAIR_CHUNK = 1 << 20
+# graph, only the draw's memory: 512 KB of uniforms per chunk.
+PAIR_CHUNK = 1 << 16
 
 
 def _triu_pairs(t: np.ndarray, m: int):

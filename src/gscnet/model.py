@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,11 +167,29 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
                        b2=np.zeros(d_out), c=np.ones(prop.na + prop.nb))
 
 
+class MlpBuffers(NamedTuple):
+    """The MLP's n x hidden arrays, allocated once per run and written
+    through numpy's ``out=``: the hidden layer h1, which a training pass and
+    the evaluation after its backward share, its gradient da1 and the bool
+    ReLU mask. A field left None is an ``out=None``: numpy allocates it."""
+
+    h1: np.ndarray | None = None
+    da1: np.ndarray | None = None
+    relu: np.ndarray | None = None
+
+    @classmethod
+    def for_params(cls, params: ModelParams, n: int) -> "MlpBuffers":
+        shape = (n, params.w1.shape[1])
+        return cls(np.empty(shape), np.empty(shape), np.empty(shape, bool))
+
+
 def forward(params: ModelParams, g: SparseGraph, X, rng=None,
-            dropout_linear: float = 0.0, dropout_conv: float = 0.0):
+            dropout_linear: float = 0.0, dropout_conv: float = 0.0,
+            buffers: MlpBuffers = MlpBuffers()):
     """Run the model; returns (logits, tape) with the tape holding the
     intermediates the backward pass needs. Without dropout rates this is
-    the evaluation pass; a positive rate draws its mask from ``rng``.
+    the evaluation pass; a positive rate draws its mask from ``rng``. The
+    hidden layer is written into ``buffers.h1``.
 
     Order: drop_lin -> MLP -> drop_conv -> propagate.
     """
@@ -198,7 +217,7 @@ def forward(params: ModelParams, g: SparseGraph, X, rng=None,
     mask_lin = drop_mask(X.shape, dropout_linear)
     Xd = X if mask_lin is None else np.multiply(X, mask_lin, out=mask_lin)
     # The MLP builds each stage in its product's buffer.
-    h1 = Xd @ params.w1
+    h1 = np.matmul(Xd, params.w1, out=buffers.h1)
     h1 += params.b1
     np.maximum(h1, 0.0, out=h1)
     H = h1 @ params.w2
@@ -234,14 +253,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
 
 
 def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
-                  config: TrainConfig, rng=None):
-    """Masked softmax cross-entropy and gradients for every trainable group.
+                  config: TrainConfig, rng=None,
+                  buffers: MlpBuffers = MlpBuffers()):
+    """Masked softmax cross-entropy and gradients for every trainable group;
+    the MLP's n x hidden arrays are written into ``buffers``.
 
     Weight decay is not included here; it enters as L2-on-gradient inside
     adam_step, so these gradients match finite differences of the loss."""
     logits, tape = forward(params, g, X, rng=rng,
                            dropout_linear=config.dropout_linear,
-                           dropout_conv=config.dropout_conv)
+                           dropout_conv=config.dropout_conv,
+                           buffers=buffers)
     labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=bool)
     loss, dZ = softmax_cross_entropy(logits, labels, mask)
@@ -252,8 +274,8 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
         dH *= tape["mask_conv"]
     grads = {"w2": tape["h1"].T @ dH, "b2": dH.sum(axis=0)}
     # h1 = max(a1, 0), so h1 > 0 exactly where the ReLU passes.
-    da1 = dH @ params.w2.T
-    da1 *= tape["h1"] > 0.0
+    da1 = np.matmul(dH, params.w2.T, out=buffers.da1)
+    da1 *= np.greater(tape["h1"], 0.0, out=buffers.relu)
     grads["w1"] = tape["Xd"].T @ da1
     grads["b1"] = da1.sum(axis=0)
 

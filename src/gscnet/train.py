@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import Dataset, Split
-from .model import (AdamState, ModelParams, TrainConfig, accuracy, adam_step,
-                    forward, init_params, loss_and_grad)
+from .model import (AdamState, MlpBuffers, ModelParams, TrainConfig,
+                    accuracy, adam_step, forward, init_params, loss_and_grad)
 
 
 @dataclass
@@ -68,10 +68,11 @@ class RunRecord:
         return {**out, "num_epochs": len(self.epochs)}
 
 
-def evaluate(params: ModelParams, ds: Dataset, split: Split):
+def evaluate(params: ModelParams, ds: Dataset, split: Split,
+             buffers: MlpBuffers = MlpBuffers()):
     """(val accuracy, test accuracy) of the model, or None when one of its
     logits is not finite: a model that has diverged has no accuracy."""
-    logits, _ = forward(params, ds.graph, ds.features)
+    logits, _ = forward(params, ds.graph, ds.features, buffers=buffers)
     if not np.isfinite(logits).all():
         return None
     return (accuracy(logits, ds.labels, split.val),
@@ -83,12 +84,14 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
     """Train one model to completion and return its record.
 
     Fully deterministic given (dataset, split, cfg.seed): initialization
-    and dropout draw from generators derived from cfg.seed alone.
+    and dropout draw from generators derived from cfg.seed alone. The
+    MLP's n x hidden arrays are allocated once, here, for every epoch.
     """
     base = np.random.SeedSequence(cfg.seed)
     init_seed, drop_seed = base.spawn(2)
     params = init_params(arch, ds.d, ds.num_classes, k1, k2, seed=init_seed)
     state = AdamState.for_params(params)
+    buffers = MlpBuffers.for_params(params, ds.n)
     rng_drop = np.random.default_rng(drop_seed)
 
     record = RunRecord(seed=cfg.seed, arch=arch, k1=k1, k2=k2)
@@ -98,7 +101,7 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
     # not warn. The state is per thread, and so is the run.
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.epochs == 0:
-            if (scores := evaluate(params, ds, split)) is None:
+            if (scores := evaluate(params, ds, split, buffers)) is None:
                 record.diverged = True
             else:
                 record.select(0, *scores, params)
@@ -107,11 +110,11 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
             t0 = time.perf_counter()
             loss, grads = loss_and_grad(params, ds.graph, ds.features,
                                         ds.labels, split.train, cfg,
-                                        rng=rng_drop)
+                                        rng=rng_drop, buffers=buffers)
             scores = None
             if math.isfinite(loss):
                 adam_step(params, grads, state, cfg)
-                scores = evaluate(params, ds, split)
+                scores = evaluate(params, ds, split, buffers)
             if scores is None:
                 record.diverged = True
                 break

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gscnet import experiments, train
+from gscnet import experiments, model, train
 
 
 def dense_adjacency_ref(edges, n):
@@ -97,8 +97,10 @@ def nan_loss(monkeypatch):
         # holding the generator keeps its id from naming a later run.
         runs = {}
 
-        def loss_and_grad(params, g, X, labels, mask, cfg, rng=None):
-            loss, grads = real(params, g, X, labels, mask, cfg, rng=rng)
+        def loss_and_grad(params, g, X, labels, mask, cfg, rng=None,
+                          buffers=model.MlpBuffers()):
+            loss, grads = real(params, g, X, labels, mask, cfg, rng=rng,
+                               buffers=buffers)
             run = runs.setdefault(id(rng), [rng, -1])
             run[1] += 1
             if cfg.seed == seed and run[1] == epoch:

@@ -137,7 +137,8 @@ class TestCsbmPairStream:
                                            expected_degree=3.9, seed=0))
         assert draw_digest(ds) == WIDE_DIGEST
 
-    @pytest.mark.parametrize("chunk", [1, 7, 10**6])
+    # 1 << 20 was the default chunk: the default must give its graphs.
+    @pytest.mark.parametrize("chunk", [1, 7, 10**6, 1 << 20])
     def test_chunk_size_does_not_matter(self, monkeypatch, chunk):
         params = csbm_params_for("heterophily", n=200, expected_degree=20.0,
                                  seed=3)

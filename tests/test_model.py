@@ -9,11 +9,12 @@ from gscnet.data import csbm_generate, CsbmParams, random_split
 from gscnet.errors import InputError
 from gscnet import graph, model, train, verify
 from gscnet.graph import build_csr, permute_graph
-from gscnet.model import (ARCHITECTURES, AdamState, TrainConfig, accuracy,
-                          adam_step, forward, init_params, loss_and_grad,
-                          predict, propagation, softmax_cross_entropy)
+from gscnet.model import (ARCHITECTURES, HIDDEN_UNITS, AdamState, MlpBuffers,
+                          TrainConfig, accuracy, adam_step, forward,
+                          init_params, loss_and_grad, predict, propagation,
+                          softmax_cross_entropy)
 from gscnet.suite import _gradcheck_instance, random_connected_graph
-from gscnet.train import train_single
+from gscnet.train import evaluate, train_single
 from gscnet.basis import combine, operator_powers
 
 from conftest import (K2_EDGES, connected_edges, dense_gcn_norm_ref,
@@ -512,6 +513,47 @@ class TestPredict:
             pytest.approx(1 / 3)
 
 
+class TestMlpBuffers:
+    def test_buffers_change_no_bytes(self):
+        ds = csbm_generate(CsbmParams(n=60, d=6, seed=3))
+        split = random_split(ds.n, seed=3)
+        params = init_params("GSCNet", ds.d, 2, 2, 1, seed=3)
+        cfg = TrainConfig(dropout_linear=0.3, dropout_conv=0.3)
+        buffers = MlpBuffers.for_params(params, ds.n)
+        args = (params, ds.graph, ds.features, ds.labels, split.train, cfg)
+        loss, grads = loss_and_grad(*args, rng=np.random.default_rng(1))
+        loss_b, grads_b = loss_and_grad(*args, rng=np.random.default_rng(1),
+                                        buffers=buffers)
+        assert loss_b == loss and grads_b.keys() == grads.keys()
+        assert all(grads_b[k].tobytes() == grads[k].tobytes() for k in grads)
+        assert evaluate(params, ds, split, buffers) == \
+            evaluate(params, ds, split)
+        logits, _ = forward(params, ds.graph, ds.features)
+        logits_b, tape = forward(params, ds.graph, ds.features,
+                                 buffers=buffers)
+        assert logits_b.tobytes() == logits.tobytes()
+        assert tape["h1"] is buffers.h1
+
+    def test_epoch_allocates_no_hidden_array(self):
+        # With run buffers, a training pass and its evaluation allocate
+        # only n x d and n x classes arrays, none of n x 64.
+        ds = csbm_generate(CsbmParams(n=4000, d=4, seed=0))
+        split = random_split(ds.n, seed=0)
+        params = init_params("GSCNet", ds.d, 2, 2, 2, seed=0)
+        buffers = MlpBuffers.for_params(params, ds.n)
+        gen = np.random.default_rng(0)
+
+        def epoch():
+            loss_and_grad(params, ds.graph, ds.features, ds.labels,
+                          split.train, TrainConfig(), rng=gen,
+                          buffers=buffers)
+            evaluate(params, ds, split, buffers)
+
+        epoch()  # warm: builds the graph operators
+        _, peak = traced_peak(epoch)
+        assert peak < ds.n * HIDDEN_UNITS * 8
+
+
 class TestTraining:
     def test_deterministic_trajectory(self):
         ds = csbm_generate(CsbmParams(n=60, d=6, seed=3))
@@ -548,9 +590,10 @@ class TestTraining:
         real = train.evaluate
         calls = []
 
-        def evaluate(params, ds, split):
+        def evaluate(params, ds, split, buffers):
             calls.append(params)
-            return None if len(calls) == 4 else real(params, ds, split)
+            return None if len(calls) == 4 else real(params, ds, split,
+                                                     buffers)
         monkeypatch.setattr(train, "evaluate", evaluate)
         ds = csbm_generate(CsbmParams(n=60, d=6, seed=3))
         split = random_split(ds.n, seed=3)
@@ -577,8 +620,8 @@ class TestTraining:
     def test_patience_stops_a_flat_run(self, monkeypatch):
         # Validation accuracy never rises after epoch 0, so the run stops
         # at the epoch that makes patience + 1 epochs without a gain.
-        monkeypatch.setattr(train, "evaluate", lambda params, ds, split:
-                            (0.5, 0.25))
+        monkeypatch.setattr(train, "evaluate",
+                            lambda params, ds, split, buffers: (0.5, 0.25))
         ds = csbm_generate(CsbmParams(n=60, d=6, seed=3))
         split = random_split(ds.n, seed=3)
         for patience in (0, 3):
