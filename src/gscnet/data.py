@@ -202,10 +202,13 @@ def csbm_generate(params: CsbmParams) -> Dataset:
 
     u = rng.standard_normal(params.d)
     u /= np.linalg.norm(u)
-    signs = np.where(np.arange(params.n) < half, 1.0, -1.0)
-    noise = rng.standard_normal((params.n, params.d)) if params.sigma > 0 \
+    features = rng.standard_normal((params.n, params.d)) if params.sigma > 0 \
         else np.zeros((params.n, params.d))
-    features = params.mu * signs[:, None] * u[None, :] + params.sigma * noise
+    # sigma * noise, then each class's mean term added in the same buffer:
+    # the sums of mu * (+/-u) + sigma * noise, with no n x d temporary.
+    features *= params.sigma
+    features[:half] += params.mu * u
+    features[half:] -= params.mu * u
     labels = (np.arange(params.n) >= half).astype(np.int64)
     return Dataset(graph=graph, features=features, labels=labels,
                    num_classes=2)

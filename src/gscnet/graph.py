@@ -96,9 +96,11 @@ class SparseGraph:
 
 def _symmetric_scaled(B: scipy.sparse.csr_array,
                       s: np.ndarray) -> scipy.sparse.csr_array:
-    """diag(s) B diag(s), same sparsity pattern."""
-    rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
-    data = s[rows] * B.data * s[B.indices]
+    """diag(s) B diag(s), same sparsity pattern. The data is built in
+    place as s[row] * B.data * s[col], left to right."""
+    data = np.repeat(s, np.diff(B.indptr))
+    data *= B.data
+    data *= s[B.indices]
     return scipy.sparse.csr_array((data, B.indices, B.indptr), shape=B.shape)
 
 

@@ -170,17 +170,17 @@ def init_params(arch: str, d_in: int, d_out: int, k1: int, k2: int,
 class MlpBuffers(NamedTuple):
     """The MLP's n x hidden arrays, allocated once per run and written
     through numpy's ``out=``: the hidden layer h1, which a training pass and
-    the evaluation after its backward share, its gradient da1 and the bool
-    ReLU mask. A field left None is an ``out=None``: numpy allocates it."""
+    the evaluation after its backward share, and the bool ReLU mask. After a
+    backward, h1's buffer holds h1's gradient da1. A field left None is an
+    ``out=None``: numpy allocates it."""
 
     h1: np.ndarray | None = None
-    da1: np.ndarray | None = None
     relu: np.ndarray | None = None
 
     @classmethod
     def for_params(cls, params: ModelParams, n: int) -> "MlpBuffers":
         shape = (n, params.w1.shape[1])
-        return cls(np.empty(shape), np.empty(shape), np.empty(shape, bool))
+        return cls(np.empty(shape), np.empty(shape, bool))
 
 
 def forward(params: ModelParams, g: SparseGraph, X, rng=None,
@@ -256,7 +256,8 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
                   config: TrainConfig, rng=None,
                   buffers: MlpBuffers = MlpBuffers()):
     """Masked softmax cross-entropy and gradients for every trainable group;
-    the MLP's n x hidden arrays are written into ``buffers``.
+    the MLP's n x hidden arrays are written into ``buffers``, and the
+    hidden layer's array ends up holding its gradient da1.
 
     Weight decay is not included here; it enters as L2-on-gradient inside
     adam_step, so these gradients match finite differences of the loss."""
@@ -272,10 +273,13 @@ def loss_and_grad(params: ModelParams, g: SparseGraph, X, labels, mask,
     dH, _ = params.prop.apply(params.c, g, dZ)
     if tape["mask_conv"] is not None:
         dH *= tape["mask_conv"]
-    grads = {"w2": tape["h1"].T @ dH, "b2": dH.sum(axis=0)}
-    # h1 = max(a1, 0), so h1 > 0 exactly where the ReLU passes.
-    da1 = np.matmul(dH, params.w2.T, out=buffers.da1)
-    da1 *= np.greater(tape["h1"], 0.0, out=buffers.relu)
+    h1 = tape["h1"]
+    grads = {"w2": h1.T @ dH, "b2": dH.sum(axis=0)}
+    # h1 = max(a1, 0), so h1 > 0 exactly where the ReLU passes. The mask
+    # and w2's gradient are h1's last readers: da1 overwrites its array.
+    relu = np.greater(h1, 0.0, out=buffers.relu)
+    da1 = np.matmul(dH, params.w2.T, out=h1)
+    da1 *= relu
     grads["w1"] = tape["Xd"].T @ da1
     grads["b1"] = da1.sum(axis=0)
 

@@ -85,7 +85,9 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
 
     Fully deterministic given (dataset, split, cfg.seed): initialization
     and dropout draw from generators derived from cfg.seed alone. The
-    MLP's n x hidden arrays are allocated once, here, for every epoch.
+    MLP's n x hidden arrays are allocated once, here, for every epoch: one
+    float array, which holds the hidden layer and, after each backward,
+    its gradient, and the bool ReLU mask.
     """
     base = np.random.SeedSequence(cfg.seed)
     init_seed, drop_seed = base.spawn(2)

@@ -137,11 +137,18 @@ class TestCsbmPairStream:
                                            expected_degree=3.9, seed=0))
         assert draw_digest(ds) == WIDE_DIGEST
 
-    # 1 << 20 was the default chunk: the default must give its graphs.
-    @pytest.mark.parametrize("chunk", [1, 7, 10**6, 1 << 20])
-    def test_chunk_size_does_not_matter(self, monkeypatch, chunk):
-        params = csbm_params_for("heterophily", n=200, expected_degree=20.0,
-                                 seed=3)
+    # The n=200 draw's blocks (at most 10,000 pairs) fit in one default
+    # chunk of 2^16 pairs, so only tiny chunks split them differently. The
+    # n=1000 preset's blocks (124,750, 124,750 and 250,000 pairs) take 2, 2
+    # and 4 default chunks but one of 10**6 or of 1 << 20, the old default:
+    # the default must give the old default's graphs.
+    @pytest.mark.parametrize("params,chunk", [
+        pytest.param(csbm_params_for("heterophily", n=200,
+                                     expected_degree=20.0, seed=3),
+                     chunk, id=str(chunk)) for chunk in (1, 7)] + [
+        pytest.param(csbm_params_for("heterophily", n=1000, seed=0),
+                     chunk, id=str(chunk)) for chunk in (10**6, 1 << 20)])
+    def test_chunk_size_does_not_matter(self, monkeypatch, params, chunk):
         want = csbm_generate(params)
         monkeypatch.setattr(data, "PAIR_CHUNK", chunk)
         assert draw_digest(csbm_generate(params)) == draw_digest(want)

@@ -553,6 +553,16 @@ class TestMlpBuffers:
         _, peak = traced_peak(epoch)
         assert peak < ds.n * HIDDEN_UNITS * 8
 
+    def test_run_holds_one_hidden_array(self):
+        # A run's n x 64 float arrays are h1 alone: the backward writes
+        # da1 over it, so the run peaks below two of them.
+        ds = csbm_generate(CsbmParams(n=4000, d=4, seed=0))
+        split = random_split(ds.n, seed=0)
+        ds.graph.normalized_adjacency  # built before the trace
+        _, peak = traced_peak(train_single, ds, split, "GSCNet", 2, 2,
+                              TrainConfig(epochs=3))
+        assert peak < 2 * ds.n * HIDDEN_UNITS * 8
+
 
 class TestTraining:
     def test_deterministic_trajectory(self):
