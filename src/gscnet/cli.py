@@ -168,8 +168,11 @@ def _cmd_csbm_gen(args) -> int:
     sidecar = {"schema": SCHEMA_VERSION, "params": params.to_json(),
                "realized": pnca.dataset_stats(ds)}
     experiments.write_json(os.path.join(out, "csbm.json"), sidecar)
+    smoothness = sidecar["realized"]["label_smoothness"]
     print(f"wrote {out}/: n={ds.n}, |E|={ds.graph.num_edges}, "
-          f"label_smoothness={sidecar['realized']['label_smoothness']:.4f}")
+          "label_smoothness="
+          + ("undefined (no edges)" if smoothness is None
+             else f"{smoothness:.4f}"))
     return 0
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DataError, DegenerateInputError, InputError, is_int, \
     is_real
@@ -278,9 +277,8 @@ def read_edge_list(path, n: int | None = None) -> np.ndarray:
 
 
 def write_edge_list(path, g: SparseGraph):
-    """Write each undirected edge once (u <= v), in row-major order."""
-    upper = scipy.sparse.triu(g.adjacency, format="coo")
-    np.savetxt(path, np.column_stack([upper.row, upper.col]), fmt="%d",
+    """Write each undirected edge once (u < v), in row-major order."""
+    np.savetxt(path, np.column_stack(g.upper_edges()), fmt="%d",
                encoding="utf-8")
 
 

@@ -1,8 +1,10 @@
-"""Sparse graph substrate: one CSR adjacency and the operators built from it.
+"""Sparse graph substrate: one CSR pattern and the operators built from it.
 
-A graph is its unit-weight ``scipy.sparse`` CSR adjacency A, the one
-structure ``SparseGraph`` stores. Each operator is built from it once per
-graph, on first use, as a CSR array, and every apply is one
+A graph is the CSR pattern of its unit-weight adjacency A: the ``indptr``
+and ``indices`` arrays ``SparseGraph`` stores, with no weight array, since
+every stored entry of A is 1. Each operator is built from the pattern once
+per graph, on first use, as a CSR array that shares the pattern's index
+arrays where it has the same pattern, and every apply is one
 sparse-times-dense product with it:
 
     adjacency            A
@@ -12,8 +14,10 @@ sparse-times-dense product with it:
 so L X = X - Â X and (2I - L) X = X + Â X, with no diagonal scaling around
 the product. GSCNet's two families are both polynomials in Â, so its basis
 needs only `normalized_apply`, Â X; BernNet's reference basis applies L and
-2I - L themselves. No operator is ever materialized densely here; the dense
-matrices in ``verify`` are the independent oracles for these products.
+2I - L themselves. Neither ever builds A: only graph queries (components,
+permutation), the activation check's A + I and M read it. No operator is
+ever materialized densely here; the dense matrices in ``verify`` are the
+independent oracles for these products.
 
 Isolated nodes: D^{-1/2} is undefined at degree 0, but A has neither a row
 nor a column entry at an isolated node, so Â stores nothing there. L then
@@ -23,7 +27,6 @@ M keeps its diagonal entry 1 at an isolated node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,42 +34,60 @@ import scipy.sparse
 
 from .errors import InputError
 
+def _index_dtype(n: int, nnz: int):
+    """int32 when every row offset and column index fits, else int64."""
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
 
-@dataclass(frozen=True)
+
 class SparseGraph:
-    """Undirected, unweighted graph as its CSR adjacency A.
+    """Undirected, unweighted graph as the CSR pattern of its adjacency A.
 
-    A has unit weights, int64 indices, column indices sorted within each
-    row and no duplicates; edge (u, v) is stored in both rows. A holds no
-    self-loop, since each operator adds its own diagonal: a stored one
-    raises `InputError`. Its arrays are read-only. ``degrees[i]`` equals
-    the number of neighbors of node i, as a float.
+    ``SparseGraph(A)`` takes A as a scipy CSR matrix and keeps only its
+    ``indptr`` and ``indices``: row i's neighbors are
+    ``indices[indptr[i]:indptr[i + 1]]``, sorted and without duplicates,
+    and edge (u, v) is stored in both rows. Both arrays are int32 when n
+    and nnz fit in it, int64 beyond that, and read-only. The pattern
+    cannot carry weights, so a stored entry other than 1 (an explicit 0
+    included) raises `InputError`, as does a stored self-loop: each
+    operator adds its own diagonal. ``degrees[i]`` equals the number of
+    neighbors of node i, as a float.
     """
 
-    adjacency: scipy.sparse.csr_array
-
-    def __post_init__(self):
-        A = self.adjacency
+    def __init__(self, A):
+        if not scipy.sparse.issparse(A) or A.format != "csr":
+            raise InputError("SparseGraph takes a CSR adjacency matrix")
+        n = A.shape[0]
+        if A.shape != (n, n):
+            raise InputError(f"adjacency must be square, got shape {A.shape}")
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
         loops = np.flatnonzero(A.diagonal())
         if loops.size:
             raise InputError(f"self-loop at node {loops[0]}")
-        # scipy picks int32 indices for an empty graph; keep int64 always.
-        A.indices = A.indices.astype(np.int64, copy=False)
-        A.indptr = A.indptr.astype(np.int64, copy=False)
-        for a in (A.data, A.indices, A.indptr):
+        weighted = np.flatnonzero(A.data != 1.0)
+        if weighted.size:
+            k = weighted[0]
+            row = np.searchsorted(A.indptr, k, side="right") - 1
+            raise InputError(f"stored weight {A.data[k]} at ({row}, "
+                             f"{A.indices[k]}); the graph is unweighted")
+        dtype = _index_dtype(n, A.nnz)
+        self.indptr = A.indptr.astype(dtype, copy=False)
+        self.indices = A.indices.astype(dtype, copy=False)
+        for a in (self.indptr, self.indices):
             a.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.indptr.size - 1
 
     @property
     def nnz(self) -> int:
-        return self.adjacency.nnz
+        return self.indices.size
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        degrees = np.diff(self.adjacency.indptr).astype(np.float64)
+        degrees = np.diff(self.indptr).astype(np.float64)
         degrees.flags.writeable = False
         return degrees
 
@@ -75,37 +96,55 @@ class SparseGraph:
         return self.nnz // 2
 
     def neighbors(self, i: int) -> np.ndarray:
-        A = self.adjacency
-        return A.indices[A.indptr[i]:A.indptr[i + 1]]
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def upper_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) of each undirected edge once, u < v, in row-major order
+        with v ascending within a row."""
+        rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype),
+                         np.diff(self.indptr))
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper]
 
     # Operators are built on first use. Two threads that both find one
     # unbuilt may each build it; the builds are identical, so either result
     # serves both.
     @cached_property
+    def adjacency(self) -> scipy.sparse.csr_array:
+        """A with unit weights; its data is the only array it adds."""
+        ones = np.ones(self.nnz)
+        ones.flags.writeable = False
+        return _pattern_csr(self.indptr, self.indices, ones)
+
+    @cached_property
     def normalized_adjacency(self) -> scipy.sparse.csr_array:
         """Â = D^{-1/2} A D^{-1/2}; empty row and column at isolated nodes."""
         s = 1.0 / np.sqrt(np.maximum(self.degrees, 1.0))
-        return _symmetric_scaled(self.adjacency, s)
+        return _symmetric_scaled(self.indptr, self.indices, s)
 
     @cached_property
     def gcn_operator(self) -> scipy.sparse.csr_array:
         """M = D_hat^{-1/2} (A + I) D_hat^{-1/2} with D_hat = D + I."""
         A_hat = self.adjacency + scipy.sparse.eye_array(self.n, format="csr")
-        return _symmetric_scaled(A_hat, 1.0 / np.sqrt(self.degrees + 1.0))
+        return _symmetric_scaled(A_hat.indptr, A_hat.indices,
+                                 1.0 / np.sqrt(self.degrees + 1.0))
 
 
-def _symmetric_scaled(B: scipy.sparse.csr_array,
-                      s: np.ndarray) -> scipy.sparse.csr_array:
-    """diag(s) B diag(s), same sparsity pattern. The data is built in
-    place as s[row] * B.data * s[col], left to right."""
-    data = np.repeat(s, np.diff(B.indptr))
-    data *= B.data
-    data *= s[B.indices]
-    return scipy.sparse.csr_array((data, B.indices, B.indptr), shape=B.shape)
+def _pattern_csr(indptr, indices, data) -> scipy.sparse.csr_array:
+    n = indptr.size - 1
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
+
+
+def _symmetric_scaled(indptr, indices, s: np.ndarray) -> scipy.sparse.csr_array:
+    """diag(s) P diag(s) for the unit-weight pattern P, on P's index arrays.
+    The data is built in place as s[row] * s[col], left to right."""
+    data = np.repeat(s, np.diff(indptr))
+    data *= s[indices]
+    return _pattern_csr(indptr, indices, data)
 
 
 def build_csr(edges, n: int) -> SparseGraph:
-    """Build the symmetric, deduplicated, row-sorted CSR adjacency.
+    """Build the symmetric, deduplicated, row-sorted graph.
 
     ``edges`` is an (m, 2) array-like of (u, v) pairs; each pair is
     mirrored, and duplicates (including pre-mirrored inputs) collapse to

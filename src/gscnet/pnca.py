@@ -125,12 +125,11 @@ def label_smoothness(g: SparseGraph, labels) -> float:
     labels = np.asarray(labels)
     if labels.shape != (g.n,):
         raise InputError(f"expected {g.n} labels, got shape {labels.shape}")
-    upper = scipy.sparse.triu(g.adjacency, format="coo")
-    if upper.nnz == 0:
+    u, v = g.upper_edges()
+    if u.size == 0:
         raise DegenerateInputError("label smoothness undefined: the graph "
                                    "has no edges")
-    cross = labels[upper.row] != labels[upper.col]
-    return float(np.count_nonzero(cross)) / upper.nnz
+    return float(np.count_nonzero(labels[u] != labels[v])) / u.size
 
 
 def dataset_stats(ds: Dataset) -> dict:

@@ -429,6 +429,22 @@ class TestCsbmGenCommand:
         assert (params["n"], params["p_intra"], params["p_inter"]) == \
             (50, 0.4, 0.1)
 
+    def test_edgeless_draw_has_no_smoothness(self, tmp_path, capsys):
+        # Label smoothness is a fraction of the edges; with none it is null.
+        out = tmp_path / "data"
+        cfg = {"dataset": {"kind": "csbm", "n": 4, "p_intra": 1e-9,
+                           "p_inter": 1e-9}}
+        rc = main(["csbm-gen", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out}/: n=4, |E|=0, "
+            "label_smoothness=undefined (no edges)\n")
+        assert (out / "edges.txt").read_bytes() == b""
+        sidecar = json.loads((out / "csbm.json").read_text())
+        assert sidecar["realized"]["label_smoothness"] is None
+        assert '"label_smoothness": null' in (out / "csbm.json").read_text()
+
     def test_files_spec_exits_2(self, tmp_path, capsys):
         cfg = {"dataset": {"kind": "files", "edges": "e", "features": "f",
                            "labels": "l"}}

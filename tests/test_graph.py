@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from gscnet.data import read_edge_list, write_edge_list
+from gscnet.basis import bernstein_blocks, build_basis_cache
+from gscnet.data import (csbm_generate, csbm_params_for, read_edge_list,
+                         write_edge_list)
 from gscnet.errors import DataError, InputError
-from gscnet.graph import (SparseGraph, adjacency_apply, build_csr,
-                          connected_components, gcn_norm_apply,
+from gscnet.graph import (SparseGraph, _index_dtype, adjacency_apply,
+                          build_csr, connected_components, gcn_norm_apply,
                           laplacian_apply, num_components, permute_graph,
                           shifted_apply)
 from gscnet.verify import (dense_adjacency, dense_eigensystem,
@@ -67,22 +69,72 @@ class TestBuildCsr:
 
     def test_tuples_and_int_array_agree(self, rng):
         edges = er_edges(rng, 25, 0.3) + [(7, 2), (2, 7)]
-        a = build_csr(edges, 25).adjacency
-        assert (a.data == 1.0).all()
+        a = build_csr(edges, 25)
+        assert (a.adjacency.data == 1.0).all()
         for array in (np.array(edges), np.array(edges, dtype=np.int32)):
-            b = build_csr(array, 25).adjacency
-            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
-                         (a.data, b.data)):
+            b = build_csr(array, 25)
+            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices)):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
-        for A in (a, build_csr([], 3).adjacency):
-            assert A.indptr.dtype == A.indices.dtype == np.int64
+        # The pattern's dtype follows from n and nnz alone.
+        for g in (a, build_csr([], 3)):
+            assert g.indptr.dtype == g.indices.dtype == np.int32
+        int32_max = np.iinfo(np.int32).max
+        assert _index_dtype(int32_max, int32_max) == np.int32
+        assert _index_dtype(int32_max + 1, 0) == np.int64
+        assert _index_dtype(10, int32_max + 1) == np.int64
 
     def test_stored_arrays_reject_writes(self):
         g = build_csr([(0, 1), (1, 2)], 3)
-        A = g.adjacency
-        for arr in (A.data, A.indices, A.indptr, g.degrees):
+        for arr in (g.indptr, g.indices, g.adjacency.data, g.degrees):
             with pytest.raises(ValueError):
                 arr[0] = 5
+
+    @pytest.mark.parametrize("data,indices,indptr,match", [
+        ([1.0, 0.5], [1, 0], [0, 1, 2], r"weight 0\.5 at \(1, 0\)"),
+        ([0.0, 1.0], [1, 0], [0, 1, 2], r"weight 0\.0 at \(0, 1\)"),
+        # Duplicates sum first, so a twice-stored edge has weight 2.
+        ([1.0, 1.0, 1.0], [1, 1, 0], [0, 2, 3], r"weight 2\.0 at \(0, 1\)"),
+    ], ids=["half", "explicit-zero", "duplicate"])
+    def test_weighted_entry_rejected(self, data, indices, indptr, match):
+        A = scipy.sparse.csr_array((np.array(data), np.array(indices),
+                                    np.array(indptr)), shape=(2, 2))
+        with pytest.raises(InputError, match=match):
+            SparseGraph(A)
+
+    def test_non_csr_or_non_square_rejected(self):
+        with pytest.raises(InputError, match="CSR"):
+            SparseGraph(scipy.sparse.coo_array(np.ones((2, 2)) - np.eye(2)))
+        with pytest.raises(InputError, match="square"):
+            SparseGraph(scipy.sparse.csr_array(np.ones((2, 3))))
+
+
+class TestPattern:
+    def test_preset_graph_holds_only_its_pattern(self):
+        # 50,382 stored entries and 5,001 row offsets take 221,532 B.
+        g = csbm_generate(csbm_params_for("heterophily", n=5000)).graph
+        assert set(vars(g)) == {"indptr", "indices"}
+        assert g.indptr.dtype == g.indices.dtype == np.int32
+        assert g.indptr.nbytes + g.indices.nbytes == 4 * (g.n + 1 + g.nnz)
+        # GSCNet's and BernNet's bases never build A.
+        X = np.ones((g.n, 2))
+        build_basis_cache(g, X, 2)
+        bernstein_blocks(g, X, 2)
+        assert "adjacency" not in vars(g)
+        g.adjacency
+        assert "adjacency" in vars(g)
+
+    def test_operators_share_the_pattern(self, rng):
+        g = build_csr(er_edges(rng, 30, 0.2), 30)
+        for op in (g.normalized_adjacency, g.adjacency):
+            assert np.shares_memory(op.indices, g.indices)
+            assert np.shares_memory(op.indptr, g.indptr)
+
+    @pytest.mark.parametrize("n,p", [(30, 0.2), (12, 0.0), (6, 1.0)])
+    def test_upper_edges_match_triu(self, rng, n, p):
+        g = build_csr(er_edges(rng, n, p), n)
+        want = scipy.sparse.triu(g.adjacency, format="coo")
+        u, v = g.upper_edges()
+        assert np.array_equal(u, want.row) and np.array_equal(v, want.col)
 
 
 class TestLaplacianApply:
