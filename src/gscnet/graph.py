@@ -14,10 +14,10 @@ sparse-times-dense product with it:
 so L X = X - Â X and (2I - L) X = X + Â X, with no diagonal scaling around
 the product. GSCNet's two families are both polynomials in Â, so its basis
 needs only `normalized_apply`, Â X; BernNet's reference basis applies L and
-2I - L themselves. Neither ever builds A: only graph queries (components,
-permutation), the activation check's A + I and M read it. No operator is
-ever materialized densely here; the dense matrices in ``verify`` are the
-independent oracles for these products.
+2I - L themselves. Neither ever builds A: only `adjacency_apply`, the
+components query, the activation check's A + I and M read it. No operator
+is ever materialized densely here; the dense matrices in ``verify`` are
+the independent oracles for these products.
 
 Isolated nodes: D^{-1/2} is undefined at degree 0, but A has neither a row
 nor a column entry at an isolated node, so Â stores nothing there. L then
@@ -42,39 +42,18 @@ def _index_dtype(n: int, nnz: int):
 class SparseGraph:
     """Undirected, unweighted graph as the CSR pattern of its adjacency A.
 
-    ``SparseGraph(A)`` takes A as a scipy CSR matrix and keeps only its
-    ``indptr`` and ``indices``: row i's neighbors are
-    ``indices[indptr[i]:indptr[i + 1]]``, sorted and without duplicates,
-    and edge (u, v) is stored in both rows. Both arrays are int32 when n
-    and nnz fit in it, int64 beyond that, and read-only. The pattern
-    cannot carry weights, so a stored entry other than 1 (an explicit 0
-    included) raises `InputError`, as does a stored self-loop: each
-    operator adds its own diagonal. ``degrees[i]`` equals the number of
-    neighbors of node i, as a float.
+    Row i's neighbors are ``indices[indptr[i]:indptr[i + 1]]``, sorted and
+    without duplicates, and edge (u, v) is stored in both rows; no row
+    stores its own node, since each operator adds its own diagonal. Both
+    arrays are int32 when n and nnz fit in it, int64 beyond that, and
+    read-only. `build_csr` makes every graph; the constructor only stores
+    and freezes the pattern it is given. ``degrees[i]`` equals the number
+    of neighbors of node i, as a float.
     """
 
-    def __init__(self, A):
-        if not scipy.sparse.issparse(A) or A.format != "csr":
-            raise InputError("SparseGraph takes a CSR adjacency matrix")
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise InputError(f"adjacency must be square, got shape {A.shape}")
-        if not A.has_canonical_format:
-            A = A.copy()
-            A.sum_duplicates()
-        loops = np.flatnonzero(A.diagonal())
-        if loops.size:
-            raise InputError(f"self-loop at node {loops[0]}")
-        weighted = np.flatnonzero(A.data != 1.0)
-        if weighted.size:
-            k = weighted[0]
-            row = np.searchsorted(A.indptr, k, side="right") - 1
-            raise InputError(f"stored weight {A.data[k]} at ({row}, "
-                             f"{A.indices[k]}); the graph is unweighted")
-        dtype = _index_dtype(n, A.nnz)
-        self.indptr = A.indptr.astype(dtype, copy=False)
-        self.indices = A.indices.astype(dtype, copy=False)
-        for a in (self.indptr, self.indices):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.indptr, self.indices = indptr, indices
+        for a in (indptr, indices):
             a.flags.writeable = False
 
     @property
@@ -156,14 +135,23 @@ def build_csr(edges, n: int) -> SparseGraph:
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         bad = pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)][0]
         raise InputError(f"edge ({bad[0]}, {bad[1]}) out of range for n={n}")
+    u, v = pairs[:, 0], pairs[:, 1]
+    loops = u == v
+    if loops.any():
+        raise InputError(f"self-loop at node {u[loops].min()}")
 
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    # COO -> CSR sorts each row and sums duplicates; reset the sums to 1.
-    A = scipy.sparse.coo_array((np.ones(src.size), (src, dst)),
-                               shape=(n, n)).tocsr()
-    A.data[:] = 1.0
-    return SparseGraph(A)
+    # Entry (row, col) is the key row * n + col, so the sorted keys list
+    # the entries in CSR order.
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    dtype = _index_dtype(n, keys.size)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(keys, n, out=keys)
+    return SparseGraph(indptr.astype(dtype, copy=False),
+                       keys.astype(dtype, copy=False))
 
 
 def _operand(g: SparseGraph, X) -> np.ndarray:
@@ -206,15 +194,16 @@ def gcn_norm_apply(g: SparseGraph, X) -> np.ndarray:
 def permute_graph(g: SparseGraph, X, perm) -> tuple[SparseGraph, np.ndarray]:
     """Relabel nodes so output node i is input node perm[i].
 
-    Returns the CSR of P A P^T (rows re-sorted canonically) and P X.
+    Returns the graph of P A P^T, built from the relabelled edges, and P X.
     """
     p = np.asarray(perm, dtype=np.int64)
     if p.shape != (g.n,) or not np.array_equal(np.sort(p), np.arange(g.n)):
         raise InputError("perm is not a bijection on [0, n)")
     X = _operand(g, X)
-    A = g.adjacency[p][:, p]
-    A.sort_indices()
-    return SparseGraph(A), X[p]
+    label = np.empty_like(p)  # input node p[i] becomes output node i
+    label[p] = np.arange(g.n)
+    u, v = g.upper_edges()
+    return build_csr(np.column_stack([label[u], label[v]]), g.n), X[p]
 
 
 def connected_components(g: SparseGraph) -> np.ndarray:

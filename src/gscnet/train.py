@@ -3,11 +3,11 @@
 Model selection follows the standard protocol: the reported test accuracy
 and filter coefficients are taken at the epoch with the best validation
 accuracy (first such epoch on ties), and training stops early once
-validation accuracy has not improved for `patience` epochs. A run whose
-training loss or evaluation logits turn non-finite stops at that epoch and
-is marked `diverged`; that epoch is neither recorded nor selectable, so
-its selection covers the epochs before it, and a run that diverges in its
-first epoch selects no model.
+validation accuracy has gone `patience` + 1 epochs without improving. A
+run whose training loss or evaluation logits turn non-finite stops at that
+epoch and is marked `diverged`; that epoch is neither recorded nor
+selectable, so its selection covers the epochs before it, and a run that
+diverges in its first epoch selects no model.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import Dataset, Split
+from .errors import InputError
 from .model import (AdamState, MlpBuffers, ModelParams, TrainConfig,
                     accuracy, adam_step, forward, init_params, loss_and_grad)
 
@@ -87,8 +88,12 @@ def train_single(ds: Dataset, split: Split, arch: str, k1: int, k2: int,
     and dropout draw from generators derived from cfg.seed alone. The
     MLP's n x hidden arrays are allocated once, here, for every epoch: one
     float array, which holds the hidden layer and, after each backward,
-    its gradient, and the bool ReLU mask.
+    its gradient, and the bool ReLU mask. A split with no validation or
+    no test node raises `InputError`: its accuracy would read 0.
     """
+    for name in ("val", "test"):
+        if not getattr(split, name).any():
+            raise InputError(f"the {name} split of {ds.n} nodes is empty")
     base = np.random.SeedSequence(cfg.seed)
     init_seed, drop_seed = base.spawn(2)
     params = init_params(arch, ds.d, ds.num_classes, k1, k2, seed=init_seed)

@@ -82,6 +82,20 @@ class TestTrainCommand:
         path.write_text("{not json")
         assert main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "oversmooth",
+                                         "ablate", "bench"])
+    def test_empty_evaluation_split_exits_2(self, tmp_path, capsys, command):
+        # random_split(4) gives val and test floor(0.2 * 4) = 0 nodes, so
+        # their accuracies would read a silent 0.
+        cfg = {"dataset": {"kind": "csbm", "n": 4, "p_intra": 1e-9,
+                           "p_inter": 1e-9},
+               "train": {"epochs": 8, "patience": 3}}
+        out = tmp_path / "runs"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out)]) == 2
+        assert "val split of 4 nodes is empty" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("config, message", [
         (None, "cannot read config"),
         ([TINY], "config must be a JSON object"),
