@@ -75,9 +75,7 @@ def _cmd_train(args) -> int:
         experiments.write_records_jsonl(
             os.path.join(out, f"run_{record.seed}.jsonl"), record)
     s = result["summary"]
-    experiments.write_with_environment(
-        os.path.join(out, "summary.json"),
-        {**s, "runs": [r.to_json() for r in result["records"]]}, config)
+    experiments.write_json(os.path.join(out, "summary.json"), s)
     cell = f"{config.arch} (k1={config.k1}, k2={config.k2})"
     print(f"{cell}: test acc {s['mean_test_acc']:.4f} +/- "
           f"{experiments.format_ci(s['ci95'], 4)} over {len(config.seeds)} "
@@ -102,8 +100,7 @@ def _cmd_sweep(args) -> int:
     k1s, k2s = _parse_range(args.k1_range), _parse_range(args.k2_range)
     table = experiments.cmd_sweep_degrees(config, k1s, k2s)
     out = _out_dir(args)
-    experiments.write_with_environment(
-        os.path.join(out, "sweep.json"), table, config)
+    experiments.write_json(os.path.join(out, "sweep.json"), table)
     experiments.write_grid_csv(os.path.join(out, "sweep.csv"), table)
     print(f"sweep spread (max-min mean acc): {table['spread']:.4f}")
     for c in table["cells"]:
@@ -117,8 +114,7 @@ def _cmd_oversmooth(args) -> int:
     depths = _parse_ints(args.depths, "--depths")
     table = experiments.cmd_oversmooth(config, depths)
     out = _out_dir(args)
-    experiments.write_with_environment(
-        os.path.join(out, "oversmooth.json"), table, config)
+    experiments.write_json(os.path.join(out, "oversmooth.json"), table)
     experiments.write_depth_csv(os.path.join(out, "oversmooth.csv"), table)
     for arch, drop in table["drop_to_deepest"].items():
         print(f"{arch}: drop to depth {depths[-1]} = {drop:.4f}")
@@ -132,8 +128,7 @@ def _cmd_ablate(args) -> int:
     config = _load_config(args)
     table = experiments.cmd_ablate_activations(config)
     out = _out_dir(args)
-    experiments.write_with_environment(
-        os.path.join(out, "ablate.json"), table, config)
+    experiments.write_json(os.path.join(out, "ablate.json"), table)
     for variant, row in table["rows"].items():
         print(f"{variant}: {row['mean_test_acc']:.4f} +/- "
               f"{experiments.format_ci(row['ci95'], 4)}")

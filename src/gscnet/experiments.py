@@ -17,6 +17,8 @@ Large GEMMs round differently at different BLAS thread counts, so a run's
 bytes are a function of its config and of its BLAS threads per worker: a
 fan-out repeats bit for bit and equals a serial run under the same count,
 but not, at sizes where OpenBLAS threads, a serial run with more threads.
+The fan-out reads the `environment` block inside that cap, so every
+command's result records the count its seeds actually ran under.
 """
 
 from __future__ import annotations
@@ -196,13 +198,6 @@ def _nproc() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_share(threads: int, workers: int) -> int:
-    """BLAS threads each of `workers` workers gets out of `threads`."""
-    if workers < 2:
-        return threads
-    return max(1, min(threads, _nproc() // workers))
-
-
 @contextlib.contextmanager
 def blas_threads_per_worker(workers: int):
     """Cap OpenBLAS to each worker's share of the cores while `workers`
@@ -215,57 +210,56 @@ def blas_threads_per_worker(workers: int):
         return
     _, get, put = blas
     before = get()
-    put(_blas_share(before, workers))
+    put(max(1, min(before, _nproc() // workers)))
     try:
         yield
     finally:
         put(before)
 
 
-def environment(workers: int) -> dict:
+def environment() -> dict:
     """What a run's bytes depend on besides its config: the numpy version,
-    the BLAS library and the BLAS threads each of `workers` workers gets."""
+    the BLAS library and its current thread count, which inside a fan-out
+    is each worker's share, and nproc."""
     name, threads = None, None
     if (blas := _openblas()) is not None:
-        name, threads = blas[0], _blas_share(blas[1](), workers)
+        name, threads = blas[0], blas[1]()
     return {"numpy": np.__version__, "blas": name,
             "blas_threads_per_worker": threads, "nproc": _nproc()}
 
 
-def fan_out_workers(config: ExperimentConfig) -> int:
-    """Worker threads that run at once: one job per seed."""
-    return min(config.threads, len(config.seeds))
-
-
-def _fan_out(config: ExperimentConfig, cells) -> list:
+def _fan_out(config: ExperimentConfig, cells) -> tuple[dict, list]:
     """Train every (arch, k1, k2) cell on every seed, one `_run_one_seed`
-    job per seed, submitted in seed order; returns, per cell, its
-    RunRecords in seed order. Each cell's degrees are checked first, so a
-    bad degree fails before any dataset is drawn."""
+    job per seed, submitted in seed order, on min(threads, seeds) workers
+    under `blas_threads_per_worker`. Returns the `environment` read inside
+    that cap and, per cell, its RunRecords in seed order. Each cell's
+    degrees are checked first, so a bad degree fails before any dataset is
+    drawn."""
     cells = list(cells)
     for arch, k1, k2 in cells:
         propagation(arch, k1, k2)
     source = _dataset_source(config.dataset)
     seeds = sorted(config.seeds)
-    workers = fan_out_workers(config)
-    if workers == 1:
-        per_seed = [_run_one_seed(config, source, seed, cells)
-                    for seed in seeds]
-    else:
-        with blas_threads_per_worker(workers), \
-                ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one_seed, config, source, seed, cells)
-                       for seed in seeds]
-            try:
-                # Results are read as they finish, so the first seed to fail
-                # raises at once; it, or an interrupt, cancels the seeds no
-                # worker has started.
-                for done in as_completed(futures):
-                    done.result()
-            finally:
-                pool.shutdown(cancel_futures=True)
-        per_seed = [f.result() for f in futures]
-    return [list(records) for records in zip(*per_seed)]
+    workers = min(config.threads, len(seeds))
+    with blas_threads_per_worker(workers):
+        env = environment()
+        if workers == 1:
+            per_seed = [_run_one_seed(config, source, seed, cells)
+                        for seed in seeds]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_run_one_seed, config, source, seed,
+                                       cells) for seed in seeds]
+                try:
+                    # Results are read as they finish, so the first seed to
+                    # fail raises at once; it, or an interrupt, cancels the
+                    # seeds no worker has started.
+                    for done in as_completed(futures):
+                        done.result()
+                finally:
+                    pool.shutdown(cancel_futures=True)
+            per_seed = [f.result() for f in futures]
+    return env, [list(records) for records in zip(*per_seed)]
 
 
 def format_ci(ci, digits: int) -> str:
@@ -284,10 +278,11 @@ def summarize_records(records: list) -> dict:
 
 def cmd_train(config: ExperimentConfig) -> dict:
     """Train config.arch over the seed list; summary uses best-val selection."""
-    records, = _fan_out(config, [(config.arch, config.k1, config.k2)])
+    env, (records,) = _fan_out(config, [(config.arch, config.k1, config.k2)])
     summary = {"schema": SCHEMA_VERSION, "command": "train",
                "arch": config.arch, "k1": config.k1, "k2": config.k2,
-               "dataset": config.dataset, **summarize_records(records)}
+               "dataset": config.dataset, **summarize_records(records),
+               "runs": [r.to_json() for r in records], "environment": env}
     return {"records": records, "summary": summary}
 
 
@@ -306,14 +301,15 @@ def cmd_sweep_degrees(config: ExperimentConfig, k1_range, k2_range) -> dict:
                           f"{len(set(k2_range))} times")
 
     grid = sorted({(k1, k2) for k1 in k1_range for k2 in k2_range})
-    per_cell = _fan_out(config, [(config.arch, k1, k2) for k1, k2 in grid])
+    env, per_cell = _fan_out(config, [(config.arch, k1, k2)
+                                      for k1, k2 in grid])
     cells = [{"k1": k1, "k2": k2, **summarize_records(records)}
              for (k1, k2), records in zip(grid, per_cell)]
     means = [c["mean_test_acc"] for c in cells]
     return {"schema": SCHEMA_VERSION, "command": "sweep",
             "arch": config.arch, "dataset": config.dataset,
             "k1_range": k1_range, "k2_range": k2_range, "cells": cells,
-            "spread": float(max(means) - min(means))}
+            "spread": float(max(means) - min(means)), "environment": env}
 
 
 def cmd_oversmooth(config: ExperimentConfig, depths) -> dict:
@@ -326,8 +322,9 @@ def cmd_oversmooth(config: ExperimentConfig, depths) -> dict:
     # GSCNet grows both families with depth, a baseline its single degree.
     cells = {(arch, d): (arch, d, d if arch == "GSCNet" else 0)
              for arch in ARCHITECTURES for d in depths}
-    summaries = {key: summarize_records(records) for key, records
-                 in zip(cells, _fan_out(config, cells.values()))}
+    env, per_cell = _fan_out(config, cells.values())
+    summaries = {key: summarize_records(records)
+                 for key, records in zip(cells, per_cell)}
     rows, diverged = (
         {arch: {str(d): summaries[arch, d][field] for d in depths}
          for arch in ARCHITECTURES}
@@ -341,7 +338,8 @@ def cmd_oversmooth(config: ExperimentConfig, depths) -> dict:
     return {"schema": SCHEMA_VERSION, "command": "oversmooth",
             "dataset": config.dataset, "depths": depths,
             "accuracy": rows, "drop_to_deepest": drops,
-            "decline_shallow_to_deep": declines, "diverged_seeds": diverged}
+            "decline_shallow_to_deep": declines, "diverged_seeds": diverged,
+            "environment": env}
 
 
 def cmd_ablate_activations(config: ExperimentConfig) -> dict:
@@ -350,13 +348,13 @@ def cmd_ablate_activations(config: ExperimentConfig) -> dict:
     variant_degrees = {"positive": (config.k1, -1),
                        "negative": (-1, config.k2),
                        "mixed": (config.k1, config.k2)}
-    per_cell = _fan_out(config, [("GSCNet", k1, k2)
-                                 for k1, k2 in variant_degrees.values()])
+    env, per_cell = _fan_out(config, [("GSCNet", k1, k2)
+                                      for k1, k2 in variant_degrees.values()])
     rows = {variant: {**summarize_records(records), "degrees": list(degrees)}
             for (variant, degrees), records in zip(variant_degrees.items(),
                                                    per_cell)}
     return {"schema": SCHEMA_VERSION, "command": "ablate",
-            "dataset": config.dataset, "rows": rows}
+            "dataset": config.dataset, "rows": rows, "environment": env}
 
 
 def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
@@ -372,7 +370,8 @@ def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
             f"with warmup={warmup}")
     config = replace(config, seeds=config.seeds[:1],
                      train=replace(config.train, patience=config.train.epochs))
-    (record,), = _fan_out(config, [(config.arch, config.k1, config.k2)])
+    env, ((record,),) = _fan_out(config,
+                                 [(config.arch, config.k1, config.k2)])
     if record.diverged:
         raise GscnetError(f"bench: seed {record.seed} diverged (non-finite "
                           f"loss or logits) at epoch {len(record.epochs)}")
@@ -384,7 +383,7 @@ def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
             "epochs_measured": len(measured),
             "per_epoch_ms": float(np.mean(measured)),
             "total_s": record.total_s, "series_ms": series,
-            "environment": environment(1)}
+            "environment": env}
 
 
 def measure_cache_build(ds: Dataset, degree_pairs, repeats: int = 5) -> list:
@@ -404,13 +403,6 @@ def write_json(path, obj: dict):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
-
-
-def write_with_environment(path, obj: dict, config: ExperimentConfig):
-    """write_json with the `environment` block of a command run under
-    `config`, since the artifact's bytes depend on it."""
-    write_json(path, {**obj, "environment": environment(
-        fan_out_workers(config))})
 
 
 def write_records_jsonl(path, record: RunRecord):

@@ -152,4 +152,4 @@ def _guard(n: int):
     if n > DENSE_GUARD:
         raise SizeGuardError(
             f"dense oracle guarded at n <= {DENSE_GUARD}, got n = {n}; "
-            "verify a sampled subgraph instead")
+            f"check a graph with n <= {DENSE_GUARD}")

@@ -29,12 +29,6 @@ def write_config(tmp_path, obj=TINY):
     return str(path)
 
 
-def assert_environment(artifact, workers):
-    env = artifact["environment"]
-    assert set(env) == {"numpy", "blas", "blas_threads_per_worker", "nproc"}
-    assert env == experiments.environment(workers)
-
-
 class TestTrainCommand:
     def test_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -220,7 +214,6 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "k1,k2,mean_test_acc,ci95"
         assert len(lines) == 3
-        assert_environment(json.loads((out / "sweep.json").read_text()), 1)
 
     @pytest.mark.parametrize("flag", ["--k1-range", "--k2-range"])
     def test_bad_range_exits_2(self, tmp_path, flag):
@@ -245,7 +238,6 @@ class TestOversmoothCommand:
         assert rc == 0
         table = json.loads((out / "oversmooth.json").read_text())
         assert set(table["accuracy"]) == {"GSCNet", "GCN", "JKNet", "BernNet"}
-        assert_environment(table, 2)
         assert (out / "oversmooth.csv").read_text().startswith("arch,depth_1")
 
     @pytest.mark.parametrize("depths", ["2,x", "4,2", "2,2"])
@@ -266,7 +258,6 @@ class TestAblateCommand:
         assert rc == 0
         table = json.loads((out / "ablate.json").read_text())
         assert set(table["rows"]) == {"positive", "negative", "mixed"}
-        assert_environment(table, 1)
 
 
 class TestBenchCommand:
@@ -277,7 +268,6 @@ class TestBenchCommand:
         assert rc == 0
         report = json.loads((out / "bench.json").read_text())
         assert report["per_epoch_ms"] > 0
-        assert_environment(report, 1)
         assert (out / "bench_epochs.csv").exists()
 
     def test_times_one_seed_serially(self, tmp_path):
@@ -286,7 +276,9 @@ class TestBenchCommand:
         rc = main(["bench", "--config", write_config(tmp_path),
                    "--threads", "2", "--out-dir", str(out)])
         assert rc == 0
-        assert_environment(json.loads((out / "bench.json").read_text()), 1)
+        env = json.loads((out / "bench.json").read_text())["environment"]
+        # Serial, so it records the full BLAS count, not a worker's share.
+        assert env == experiments.environment()
 
     def test_negative_warmup_exits_2(self, tmp_path, capsys, no_draw):
         out = tmp_path / "runs"
@@ -368,6 +360,40 @@ class TestDivergenceWarning:
             assert [(r["best_epoch"], r["best_val_acc"], r["test_acc"],
                      r["alpha"], r["beta"], r["num_epochs"], r["diverged"])
                     for r in runs] == [(-1, 0.0, 0.0, [], [], 0, True)] * 2
+
+
+# Each training command's experiments function and JSON artifact.
+RESULTS = {"train": ("cmd_train", "summary.json"),
+           "sweep": ("cmd_sweep_degrees", "sweep.json"),
+           "oversmooth": ("cmd_oversmooth", "oversmooth.json"),
+           "ablate": ("cmd_ablate_activations", "ablate.json"),
+           "bench": ("cmd_bench", "bench.json")}
+
+
+class TestEnvironmentBlock:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", RESULTS)
+    def test_artifact_holds_its_results_environment(
+            self, tmp_path, monkeypatch, command, threads):
+        name, artifact = RESULTS[command]
+        flags = {c: f for c, f, _ in TRAINING_COMMANDS}.get(command, [])
+        real = getattr(experiments, name)
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, name, spy)
+        out = tmp_path / "runs"
+        assert main([command, "--config", write_config(tmp_path), *flags,
+                     "--out-dir", str(out), "--threads", threads]) == 0
+        result, = results
+        env = (result["summary"] if command == "train"
+               else result)["environment"]
+        assert set(env) == {"numpy", "blas", "blas_threads_per_worker",
+                            "nproc"}
+        assert json.loads((out / artifact).read_text())["environment"] == env
 
 
 def strict_json(text):

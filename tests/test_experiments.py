@@ -217,8 +217,10 @@ class TestCmdTrain:
         assert a == b
 
     def test_threaded_matches_serial(self):
+        # Only the recorded BLAS count may differ: two workers get a share.
         serial = cmd_train(tiny_config(threads=1))["summary"]
         threaded = cmd_train(tiny_config(threads=3))["summary"]
+        del serial["environment"], threaded["environment"]
         assert serial == threaded
 
     def test_diverged_run_stops_and_is_listed(self, nan_loss):
@@ -385,6 +387,19 @@ def needs_openblas():
     return blas
 
 
+def spy_blas_threads(monkeypatch, get):
+    """The OpenBLAS count `get()` read at the start of each seed's job."""
+    seen = []
+    real = experiments._run_one_seed
+
+    def run_one_seed(*args):
+        seen.append(get())
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "_run_one_seed", run_one_seed)
+    return seen
+
+
 class TestBlasThreadsPerWorker:
     def test_fan_out_repeats_bit_for_bit(self):
         assert fingerprints(cmd_train(BLAS_SIZED)) == \
@@ -397,6 +412,8 @@ class TestBlasThreadsPerWorker:
             serial = cmd_train(ExperimentConfig(
                 **{**BLAS_SIZED.__dict__, "threads": 1}))
         assert fingerprints(fanned) == fingerprints(serial)
+        assert fanned["summary"]["environment"] == \
+            serial["summary"]["environment"]
 
     def test_count_capped_in_workers_and_restored_after_raise(
             self, monkeypatch):
@@ -419,15 +436,37 @@ class TestBlasThreadsPerWorker:
         assert get() == before
         share = max(1, min(before, experiments._nproc() // 2))
         assert seen == [share, share]
-        assert experiments.environment(2)["blas_threads_per_worker"] == share
-        assert experiments.environment(1)["blas_threads_per_worker"] == before
+
+    def test_environment_records_the_count_the_seeds_ran_under(
+            self, monkeypatch):
+        _, get, _ = needs_openblas()
+        before = get()
+        seen = spy_blas_threads(monkeypatch, get)
+        threaded = cmd_train(tiny_config(threads=2))["summary"]
+        serial = cmd_train(tiny_config(threads=1))["summary"]
+        bench = cmd_bench(tiny_config(threads=2), warmup=5)
+        share = max(1, min(before, experiments._nproc() // 2))
+        # Two workers get the share each; serial seeds and bench's one seed
+        # keep the full count.
+        assert seen == [share, share, before, before, before]
+        assert threaded["environment"]["blas_threads_per_worker"] == share
+        for env in serial["environment"], bench["environment"]:
+            assert env["blas_threads_per_worker"] == before
+        assert get() == before
 
     def test_no_op_without_openblas(self, monkeypatch):
+        blas = experiments._openblas()
         monkeypatch.setattr(experiments, "_openblas", lambda: None)
         with experiments.blas_threads_per_worker(4):
             pass
+        if blas is not None:
+            seen = spy_blas_threads(monkeypatch, blas[1])
         threaded = cmd_train(tiny_config(threads=2))["summary"]
-        assert threaded == cmd_train(tiny_config())["summary"]
-        env = experiments.environment(2)
-        assert env["blas"] is None and env["blas_threads_per_worker"] is None
-        assert "environment" not in threaded
+        serial = cmd_train(tiny_config())["summary"]
+        if blas is not None:
+            # Nothing was capped: every seed ran under the full count.
+            assert set(seen) == {blas[1]()}
+        for env in threaded.pop("environment"), serial.pop("environment"):
+            assert env["blas"] is None
+            assert env["blas_threads_per_worker"] is None
+        assert threaded == serial

@@ -95,7 +95,10 @@ class TestClassifyGraphActivation:
         n = verify.DENSE_GUARD + 1
         g = build_csr([(0, 1)], n)
         assert classify_graph_activation(transform(g, "shifted"), g).positive
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(
+                SizeGuardError,
+                match=r"guarded at n <= 500, got n = 501; check a graph with "
+                      r"n <= 500$"):
             positive_combination_check([1.0, 1.0], g)
 
     @given(case=graph_and_matrix())

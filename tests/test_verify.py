@@ -49,7 +49,10 @@ class TestDenseEigensystem:
 
     def test_size_guard(self):
         g = build_csr([(0, 1)], 501)
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(
+                SizeGuardError,
+                match=r"guarded at n <= 500, got n = 501; check a graph with "
+                      r"n <= 500$"):
             dense_eigensystem(g)
 
     def test_asymmetric_rejected(self):
