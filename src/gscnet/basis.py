@@ -36,7 +36,7 @@ def operator_powers(apply, g: SparseGraph, X, k: int) -> list:
 
 def build_basis_cache(g: SparseGraph, X, K: int) -> list:
     """The Krylov blocks [X, Â X, ..., Â^K X], in K sparse applies: every
-    block either family of degrees (k1, k2) needs when K = max(k1, k2). The
+    block either family needs when K is the larger of their degrees. The
     first block is X itself."""
     if K < 0:
         raise InputError(f"degree must be non-negative, got {K}")

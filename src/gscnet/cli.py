@@ -5,8 +5,8 @@ verify. Every JSON artifact carries a schema field; re-running a command
 overwrites outputs with identical bytes apart from wall times. Each
 training command warns on stderr about every cell that diverged.
 
-Exit codes: 0 success, 2 config error (or an output path that cannot be
-written), 3 data error, 4 verification failure.
+Exit codes: 0 success, 2 config error (or an output directory that cannot
+be written), 3 data error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -101,7 +101,10 @@ def _cmd_sweep(args) -> int:
     table = experiments.cmd_sweep_degrees(config, k1s, k2s)
     out = _out_dir(args)
     experiments.write_json(os.path.join(out, "sweep.json"), table)
-    experiments.write_grid_csv(os.path.join(out, "sweep.csv"), table)
+    experiments.write_csv(
+        os.path.join(out, "sweep.csv"), ["k1", "k2", "mean_test_acc", "ci95"],
+        ([c["k1"], c["k2"], f"{c['mean_test_acc']:.6f}",
+          experiments.format_ci(c["ci95"], 6)] for c in table["cells"]))
     print(f"sweep spread (max-min mean acc): {table['spread']:.4f}")
     for c in table["cells"]:
         _warn_diverged(f"{config.arch} (k1={c['k1']}, k2={c['k2']})",
@@ -115,7 +118,11 @@ def _cmd_oversmooth(args) -> int:
     table = experiments.cmd_oversmooth(config, depths)
     out = _out_dir(args)
     experiments.write_json(os.path.join(out, "oversmooth.json"), table)
-    experiments.write_depth_csv(os.path.join(out, "oversmooth.csv"), table)
+    experiments.write_csv(
+        os.path.join(out, "oversmooth.csv"),
+        ["arch", *(f"depth_{d}" for d in depths)],
+        ([arch, *(f"{vals[str(d)]:.6f}" for d in depths)]
+         for arch, vals in table["accuracy"].items()))
     for arch, drop in table["drop_to_deepest"].items():
         print(f"{arch}: drop to depth {depths[-1]} = {drop:.4f}")
     for arch, by_depth in table["diverged_seeds"].items():
@@ -142,11 +149,10 @@ def _cmd_bench(args) -> int:
     report = experiments.cmd_bench(config, warmup=args.warmup)
     out = _out_dir(args)
     experiments.write_json(os.path.join(out, "bench.json"), report)
-    with open(os.path.join(out, "bench_epochs.csv"), "w",
-              encoding="utf-8") as f:
-        f.write("epoch,ms\n")
-        for i, ms in enumerate(report["series_ms"]):
-            f.write(f"{i},{ms:.3f}\n")
+    experiments.write_csv(os.path.join(out, "bench_epochs.csv"),
+                          ["epoch", "ms"],
+                          ([i, f"{ms:.3f}"]
+                           for i, ms in enumerate(report["series_ms"])))
     print(f"{config.arch}: {report['per_epoch_ms']:.2f} ms/epoch, "
           f"{report['total_s']:.2f} s total")
     return 0
@@ -195,18 +201,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # A bad --out or --seed is found before the suite runs, not after it.
-    if args.out and os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out!r} is a directory")
-    if args.out and not os.path.isdir(os.path.dirname(
-            os.path.abspath(args.out))):
-        raise ConfigError(f"--out {args.out!r}: its directory does not exist")
+    # A bad --seed is found before the suite runs, not after it.
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     report = suite.run_suite(seed=args.seed, quick=args.quick)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.out:
-        experiments.write_json(args.out, report)
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     return 0 if report["passed"] else 4
 
 
@@ -260,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the dense-oracle suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -264,14 +264,13 @@ def _read_table(path, name: str, convert, invalid, message: str, sep=None,
     return table
 
 
-def read_edge_list(path, n: int | None = None) -> np.ndarray:
+def read_edge_list(path, n: int) -> np.ndarray:
     """The (m, 2) int64 array of a `u v` per line edge file, endpoints in
     [0, n) and u != v; an undirected edge may be listed once or twice
     (build_csr dedups)."""
     return _read_table(
         path, "edge", int,
-        lambda e: ((e < 0) | (n is not None and e >= n)).any(axis=1)
-        | (e[:, 0] == e[:, 1]),
+        lambda e: ((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1]),
         "edge is a self-loop or has an endpoint out of range", width=2,
         comment="#")
 

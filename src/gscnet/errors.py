@@ -29,15 +29,6 @@ class DegenerateInputError(InputError):
     """Input is well-formed but degenerate for the operation (e.g. no edges)."""
 
 
-class SizeGuardError(InputError):
-    """A dense verification tool was asked to densify beyond its guard."""
-
-
-class ContractViolationError(InputError):
-    """A caller broke a stated mathematical hypothesis (e.g. negative weight
-    passed to a non-negative-combination check)."""
-
-
 class DataError(GscnetError):
     """Malformed or inconsistent dataset files; carries file/line context."""
 

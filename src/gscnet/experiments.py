@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import build_basis_cache
 from .data import (CsbmParams, Dataset, csbm_generate, csbm_params_for,
                    load_dataset, random_split)
 from .errors import ConfigError, GscnetError, InputError, is_int
@@ -345,6 +344,9 @@ def cmd_oversmooth(config: ExperimentConfig, depths) -> dict:
 def cmd_ablate_activations(config: ExperimentConfig) -> dict:
     """GSCNet with the pure shifted basis, the pure Laplacian basis, and the
     mixed basis, on shared seeds/splits."""
+    if config.arch != "GSCNet":
+        raise ConfigError(f"ablate compares GSCNet's two families; got arch "
+                          f"{config.arch!r}")
     variant_degrees = {"positive": (config.k1, -1),
                        "negative": (-1, config.k2),
                        "mixed": (config.k1, config.k2)}
@@ -387,14 +389,15 @@ def cmd_bench(config: ExperimentConfig, warmup: int = 5) -> dict:
 
 
 def measure_cache_build(ds: Dataset, degree_pairs, repeats: int = 5) -> list:
-    """Median wall seconds to build the basis cache at each (k1, k2) pair.
-    The pairs take turns within each repeat, so a spell of host load falls
-    on all of them instead of on one pair's batch."""
-    times = [[] for _ in degree_pairs]
+    """Median wall seconds to build GSCNet's blocks, as training does, at
+    each (k1, k2) pair. The pairs take turns within each repeat, so a spell
+    of host load falls on all of them instead of on one pair's batch."""
+    props = [propagation("GSCNet", k1, k2) for k1, k2 in degree_pairs]
+    times = [[] for _ in props]
     for _ in range(repeats):
-        for pair_times, (k1, k2) in zip(times, degree_pairs):
+        for pair_times, prop in zip(times, props):
             t0 = time.perf_counter()
-            build_basis_cache(ds.graph, ds.features, max(k1, k2))
+            prop.blocks(ds.graph, ds.features)
             pair_times.append(time.perf_counter() - t0)
     return [float(np.median(t)) for t in times]
 
@@ -405,26 +408,17 @@ def write_json(path, obj: dict):
         f.write("\n")
 
 
+def write_csv(path, header, rows):
+    """A plain CSV table: the header row, then one line per row, each value
+    written as its str, so the caller formats its floats."""
+    with open(path, "w", encoding="utf-8") as f:
+        for row in [header, *rows]:
+            f.write(",".join(map(str, row)) + "\n")
+
+
 def write_records_jsonl(path, record: RunRecord):
     with open(path, "w", encoding="utf-8") as f:
         for e in record.epochs:
             f.write(json.dumps({"schema": SCHEMA_VERSION, "seed": record.seed,
                                 **e.to_json()}, sort_keys=True,
                                allow_nan=False) + "\n")
-
-
-def write_grid_csv(path, sweep: dict):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("k1,k2,mean_test_acc,ci95\n")
-        for cell in sweep["cells"]:
-            f.write(f"{cell['k1']},{cell['k2']},{cell['mean_test_acc']:.6f},"
-                    f"{format_ci(cell['ci95'], 6)}\n")
-
-
-def write_depth_csv(path, table: dict):
-    depths = table["depths"]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("arch," + ",".join(f"depth_{d}" for d in depths) + "\n")
-        for arch, vals in table["accuracy"].items():
-            f.write(arch + "," + ",".join(f"{vals[str(d)]:.6f}"
-                                          for d in depths) + "\n")

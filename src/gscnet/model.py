@@ -7,12 +7,17 @@ Z = prop(H).
     JKNet    prop(V) = sum_{k=1..K} alpha_k M^k V
     BernNet  prop(V) = sum_{k=0..K} alpha_k (2I-L)^k L^{K-k} V
 
+Each baseline is what its row says: "GCN" is the MLP then M^k, not stacked
+GCN layers (Kipf & Welling, 2017), and "JKNet" is GPR-GNN's propagation
+(Chien et al., 2021) without its k = 0 term, not a jumping-knowledge
+aggregation of stacked layers (Xu et al., 2018).
+
 One propagation path serves all four: `propagation` checks an
 architecture's degrees once and returns its `Propagation`, whose `blocks`
 are the basis blocks B_m(V) and whose `apply` is prop(V) = sum_m (W c)_m
 B_m(V) with c = (alpha, beta), or the fixed weight [1] for GCN's one block.
 W is the identity matrix except for GSCNet, whose blocks are the Krylov
-sequence Â^m V, m <= max(k1, k2), and whose W holds the binomial
+sequence Â^m V up to the larger degree, and whose W holds the binomial
 coefficients of (I+Â)^i and (I-Â)^j. GCN's block is the last of the M
 powers JKNet sums. Every operator is symmetric, so the backward pass is the
 same path run on dZ, and the gradient of c is W^T t with
@@ -80,11 +85,11 @@ class Propagation:
 
     def blocks(self, g: SparseGraph, V: np.ndarray) -> list:
         """The basis blocks B_m(V), one per block weight: GSCNet's Krylov
-        sequence to max(k1, k2), BernNet's k1 + 1 Bernstein terms, and for
-        GCN and JKNet one recurrence of k1 M powers, of which GCN keeps the
-        last block and JKNet every block after V."""
+        sequence, one block per row of W, BernNet's k1 + 1 Bernstein terms,
+        and for GCN and JKNet one recurrence of k1 M powers, of which GCN
+        keeps the last block and JKNet every block after V."""
         if self.arch == "GSCNet":
-            return build_basis_cache(g, V, max(self.k1, self.k2, 0))
+            return build_basis_cache(g, V, self.W.shape[0] - 1)
         if self.arch == "BernNet":
             return bernstein_blocks(g, V, self.k1)
         powers = operator_powers(gcn_norm_apply, g, V, self.k1)

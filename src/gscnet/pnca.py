@@ -21,7 +21,7 @@ import scipy.sparse
 
 from . import verify
 from .data import Dataset
-from .errors import ContractViolationError, DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError
 from .graph import SparseGraph, laplacian_apply, num_components
 
 
@@ -58,9 +58,10 @@ def classify_graph_activation(T, g: SparseGraph) -> ActivationClass:
 
     Positive requires strictly positive entries on every edge and on the
     diagonal (the definition is stated on the self-looped graph A + I)
-    and non-negative entries everywhere else. Powers and non-negative
-    mixtures of edge-patterned matrices spread support to multi-hop
-    pairs, which is why off-edge entries must only be >= 0.
+    and non-negative entries everywhere else, so a NaN entry is a
+    violation wherever it sits. Powers and non-negative mixtures of
+    edge-patterned matrices spread support to multi-hop pairs, which is
+    why off-edge entries must only be >= 0.
 
     The witness is the first violating entry in row-major order. Entries
     not stored in a sparse T are zero; the check visits only the stored
@@ -76,9 +77,11 @@ def classify_graph_activation(T, g: SparseGraph) -> ActivationClass:
     T.sum_duplicates()
 
     on_edge = g.adjacency + scipy.sparse.eye_array(g.n, format="csr")
-    negative = T < 0.0
     # Subtraction drops the zeros it makes, so each term keeps only the
-    # violations: edges where T is not > 0, and negatives off the edges.
+    # violations: edges where T is not > 0, and entries not >= 0 (a NaN
+    # fails every comparison) off the edges.
+    negative = scipy.sparse.csr_array((~(T.data >= 0.0), T.indices,
+                                       T.indptr), shape=T.shape)
     bad = (on_edge - on_edge.multiply(T > 0.0)
            + negative - negative.multiply(on_edge)).tocoo()
     if bad.nnz == 0:
@@ -106,7 +109,7 @@ def positive_combination_check(coeffs, g: SparseGraph) -> ActivationClass:
         raise InputError("expected a non-empty 1-D coefficient vector")
     if (coeffs < 0).any():
         j = int(np.argmax(coeffs < 0))
-        raise ContractViolationError(
+        raise InputError(
             f"coefficient {j} is negative ({coeffs[j]}); the non-negative "
             "combination hypothesis is broken")
     if not (coeffs > 0).any():

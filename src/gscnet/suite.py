@@ -4,6 +4,10 @@ Each check exercises a sparse fast path against an independent dense oracle
 and reports pass/fail with a measured error and the bound it is held to.
 Also home to the small random graph generators the checks (and the test
 suite) draw instances from.
+
+A NaN fails every comparison and Python's max skips it, so worst errors
+are taken with np.maximum and a count grows unless its value is within the
+bound; a NaN measurement reads null and fails its check.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ def gscnet_filter(g: SparseGraph, X, alpha, beta) -> np.ndarray:
     return prop.apply(np.concatenate([alpha, beta]), g, X)[0]
 
 
+def _measured(x: float):  # as strict JSON: a NaN, within no bound, is null
+    return None if np.isnan(x) else x
+
+
 def _check_eigensystem(rng, trials: int) -> dict:
     bound = {"reconstruction_err": 1e-8, "orthonormality_err": 1e-10,
              "eigenvalue_range": [-1e-9, 2.0 + 1e-9]}
@@ -48,19 +56,20 @@ def _check_eigensystem(rng, trials: int) -> dict:
         L = verify.dense_laplacian(g)
         eig = verify.dense_eigensystem(g)
         recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
-        worst_recon = max(worst_recon,
-                          float(np.linalg.norm(recon - L)) / max(n, 1))
+        worst_recon = float(np.maximum(
+            worst_recon, np.linalg.norm(recon - L) / max(n, 1)))
         orth = eig.vectors.T @ eig.vectors - np.eye(n)
-        worst_orth = max(worst_orth, float(np.linalg.norm(orth)))
-        lo = min(lo, float(eig.values.min()))
-        hi = max(hi, float(eig.values.max()))
+        worst_orth = float(np.maximum(worst_orth, np.linalg.norm(orth)))
+        lo = float(np.minimum(lo, eig.values.min()))
+        hi = float(np.maximum(hi, eig.values.max()))
     low, high = bound["eigenvalue_range"]
     ok = worst_recon <= bound["reconstruction_err"] \
         and worst_orth <= bound["orthonormality_err"] \
         and lo >= low and hi <= high
     return {"name": "eigensystem", "passed": bool(ok), "bound": bound,
-            "reconstruction_err": worst_recon, "orthonormality_err": worst_orth,
-            "eigenvalue_range": [lo, hi]}
+            "reconstruction_err": _measured(worst_recon),
+            "orthonormality_err": _measured(worst_orth),
+            "eigenvalue_range": [_measured(lo), _measured(hi)]}
 
 
 def _check_filter_agreement(rng, trials: int) -> dict:
@@ -77,9 +86,10 @@ def _check_filter_agreement(rng, trials: int) -> dict:
         oracle_z = verify.spectral_filter_oracle(
             eig, verify.polynomial_response(alpha, beta), x)
         denom = max(float(np.linalg.norm(oracle_z)), 1e-30)
-        worst = max(worst, float(np.linalg.norm(sparse_z - oracle_z)) / denom)
+        worst = float(np.maximum(
+            worst, np.linalg.norm(sparse_z - oracle_z) / denom))
     return {"name": "spectral_filter_agreement", "passed": bool(worst <= bound),
-            "bound": bound, "worst_relative_err": worst}
+            "bound": bound, "worst_relative_err": _measured(worst)}
 
 
 def _check_recurrence(rng, trials: int) -> dict:
@@ -100,10 +110,10 @@ def _check_recurrence(rng, trials: int) -> dict:
                 block = gscnet_filter(g, X, alpha, beta)
                 dense = verify.dense_matrix_power(M, i) @ X
                 denom = max(float(np.linalg.norm(dense)), 1e-30)
-                worst = max(worst,
-                            float(np.linalg.norm(block - dense)) / denom)
+                worst = float(np.maximum(
+                    worst, np.linalg.norm(block - dense) / denom))
     return {"name": "recurrence_vs_power", "passed": bool(worst <= bound),
-            "bound": bound, "worst_relative_err": worst}
+            "bound": bound, "worst_relative_err": _measured(worst)}
 
 
 def _check_rayleigh(rng, trials: int) -> dict:
@@ -114,13 +124,12 @@ def _check_rayleigh(rng, trials: int) -> dict:
         g = random_connected_graph(rng, n)
         x = rng.normal(size=n)
         r = pnca.rayleigh_quotient(g, x)
+        # A zero vector has no quotient.
         lo_x = shifted_apply(g, x)
-        if np.linalg.norm(lo_x) > 0 \
-                and pnca.rayleigh_quotient(g, lo_x) > r + 1e-12:
+        if lo_x.any() and not pnca.rayleigh_quotient(g, lo_x) <= r + 1e-12:
             violations += 1
         hi_x = laplacian_apply(g, x)
-        if np.linalg.norm(hi_x) > 0 \
-                and pnca.rayleigh_quotient(g, hi_x) < r - 1e-12:
+        if hi_x.any() and not pnca.rayleigh_quotient(g, hi_x) >= r - 1e-12:
             violations += 1
     return {"name": "rayleigh_monotonicity", "passed": violations <= bound,
             "bound": bound, "violations": violations}
@@ -147,9 +156,9 @@ def _check_gradients(rng, trials: int) -> dict:
     bound = 1e-4
     worst = 0.0
     for _ in range(trials):
-        worst = max(worst, _gradcheck_instance(rng))
+        worst = float(np.maximum(worst, _gradcheck_instance(rng)))
     return {"name": "gradient_check", "passed": bool(worst <= bound),
-            "bound": bound, "worst_relative_err": worst}
+            "bound": bound, "worst_relative_err": _measured(worst)}
 
 
 def _gradcheck_instance(rng, arch: str = "GSCNet", n: int = 10, d: int = 4,
@@ -190,7 +199,7 @@ def _gradcheck_instance(rng, arch: str = "GSCNet", n: int = 10, d: int = 4,
     for name, gfd in fd.items():
         denom = max(float(np.linalg.norm(gfd)), 1e-12)
         rel = float(np.linalg.norm(analytic[name] - gfd)) / denom
-        worst = max(worst, rel)
+        worst = float(np.maximum(worst, rel))
     return worst
 
 

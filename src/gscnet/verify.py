@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SizeGuardError
+from .errors import InputError
 from .graph import SparseGraph
 
 DENSE_GUARD = 500
@@ -150,6 +150,6 @@ def finite_difference_gradient(lossfn, params: dict, eps: float = FD_STEP) -> di
 
 def _guard(n: int):
     if n > DENSE_GUARD:
-        raise SizeGuardError(
+        raise InputError(
             f"dense oracle guarded at n <= {DENSE_GUARD}, got n = {n}; "
             f"check a graph with n <= {DENSE_GUARD}")

@@ -23,6 +23,13 @@ TINY = {"dataset": {"kind": "csbm", "n": 80, "d": 6, "p_intra": 0.3,
         "seeds": [0, 1]}
 
 
+def strict_json(text):
+    """json.loads refusing the NaN and Infinity strict JSON has not."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def write_config(tmp_path, obj=TINY):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
@@ -258,6 +265,17 @@ class TestAblateCommand:
         assert rc == 0
         table = json.loads((out / "ablate.json").read_text())
         assert set(table["rows"]) == {"positive", "negative", "mixed"}
+
+    def test_non_gscnet_arch_exits_2_before_any_draw(self, tmp_path, capsys,
+                                                     no_draw):
+        # The three variants are GSCNet's bases; another arch has none.
+        out = tmp_path / "runs"
+        assert main(["ablate", "--config", write_config(
+            tmp_path, {**TINY, "arch": "BernNet"}), "--out-dir",
+            str(out)]) == 2
+        assert "config error: ablate compares GSCNet's two families; got " \
+            "arch 'BernNet'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchCommand:
@@ -690,25 +708,27 @@ class TestVerifyCommand:
             raise AssertionError("the suite ran")
         monkeypatch.setattr(suite, "run_suite", run_suite)
 
-    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys,
-                                              no_suite):
-        out = tmp_path / "missing" / "verify.json"
-        assert main(["verify", "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not out.parent.exists()
-        # An --out that is itself a directory is rejected as early.
-        assert main(["verify", "--out", str(tmp_path)]) == 2
-        assert "is a directory" in capsys.readouterr().err
-
     def test_negative_seed_exits_2(self, capsys, no_suite):
         assert main(["verify", "--seed", "-1"]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_quick_suite_passes(self, tmp_path):
-        out = tmp_path / "verify.json"
-        rc = main(["verify", "--quick", "--out", str(out)])
+    def test_nan_filter_fails_with_a_strict_report(self, capsys,
+                                                   monkeypatch):
+        # A NaN error is within no bound: both checks that read the filter
+        # fail, and the report writes their measurement as null.
+        monkeypatch.setattr(suite, "gscnet_filter", lambda g, X, alpha, beta:
+                            np.full(np.shape(X), np.nan))
+        assert main(["verify", "--quick"]) == 4
+        report = strict_json(capsys.readouterr().out)
+        assert report["passed"] is False
+        assert {c["name"]: c["worst_relative_err"] for c in report["checks"]
+                if not c["passed"]} == {"spectral_filter_agreement": None,
+                                        "recurrence_vs_power": None}
+
+    def test_quick_suite_passes(self, capsys):
+        rc = main(["verify", "--quick"])
         assert rc == 0
-        report = json.loads(out.read_text())
+        report = strict_json(capsys.readouterr().out)
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
         # Each check reports the bound its measurement is held to.

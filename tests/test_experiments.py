@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gscnet import experiments, train
+from gscnet import experiments, model, train
 from gscnet.data import (CsbmParams, csbm_generate, random_split,
                          save_dataset)
 from gscnet.errors import ConfigError, GscnetError
@@ -304,13 +304,14 @@ class TestCmdBench:
 
 class TestMeasureCacheBuild:
     def test_pairs_take_turns_in_each_repeat(self, monkeypatch):
+        # It times GSCNet's blocks as training builds them, through model.
         degrees = []
-        real = experiments.build_basis_cache
+        real = model.build_basis_cache
 
         def build(g, X, K):
             degrees.append(K)
             return real(g, X, K)
-        monkeypatch.setattr(experiments, "build_basis_cache", build)
+        monkeypatch.setattr(model, "build_basis_cache", build)
         ds = make_dataset(TINY_CSBM, 0)
         times = experiments.measure_cache_build(ds, [(1, 1), (2, 3)],
                                                 repeats=3)

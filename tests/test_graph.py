@@ -477,7 +477,7 @@ class TestEdgeListIO:
         path = tmp_path / "edges.txt"
         path.write_text("0 1\n1 two\n")
         with pytest.raises(DataError) as exc:
-            read_edge_list(path)
+            read_edge_list(path, n=3)
         assert exc.value.line == 2
 
     def test_out_of_range_reports_lineno(self, tmp_path):

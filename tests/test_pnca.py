@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gscnet import verify
-from gscnet.errors import (ContractViolationError, DegenerateInputError,
-                           InputError, SizeGuardError)
+from gscnet.errors import DegenerateInputError, InputError
 from gscnet.graph import build_csr, laplacian_apply, permute_graph, shifted_apply
 from gscnet.pnca import (classify_graph_activation, label_smoothness,
                          positive_combination_check, rayleigh_quotient,
@@ -25,7 +24,7 @@ def row_major_reference(T, g):
         if on_edge[i, j] and not value > 0:
             return "Negative", ((i, j), value,
                                 "non-positive entry on edge/self-loop")
-        if not on_edge[i, j] and value < 0:
+        if not on_edge[i, j] and not value >= 0:
             return "Negative", ((i, j), value,
                                 "negative entry off the edge pattern")
     return "Positive", None
@@ -96,7 +95,7 @@ class TestClassifyGraphActivation:
         g = build_csr([(0, 1)], n)
         assert classify_graph_activation(transform(g, "shifted"), g).positive
         with pytest.raises(
-                SizeGuardError,
+                InputError,
                 match=r"guarded at n <= 500, got n = 501; check a graph with "
                       r"n <= 500$"):
             positive_combination_check([1.0, 1.0], g)
@@ -118,6 +117,21 @@ class TestClassifyGraphActivation:
         verdict = classify_graph_activation(transform(g, "laplacian"), g)
         assert verdict.witness == ((1, 2), -1.0,
                                    "non-positive entry on edge/self-loop")
+
+    @pytest.mark.parametrize("entry, reason", [
+        ((0, 2), "negative entry off the edge pattern"),
+        ((1, 1), "non-positive entry on edge/self-loop")])
+    def test_nan_is_a_violation_wherever_it_sits(self, entry, reason):
+        # A NaN fails every comparison, so off the pattern it must not pass
+        # as "not negative".
+        g = build_csr(P3_EDGES, 3)
+        T = transform(g, "shifted").toarray()
+        T[entry] = np.nan
+        for given_T in (T, scipy.sparse.csr_array(T)):
+            verdict = classify_graph_activation(given_T, g)
+            assert verdict.label == "Negative"
+            index, value, why = verdict.witness
+            assert (index, why) == (entry, reason) and np.isnan(value)
 
     def test_shape_checked(self):
         g = build_csr(K2_EDGES, 2)
@@ -207,7 +221,7 @@ class TestPositiveCombination:
 
     def test_negative_coefficient_breaks_contract(self):
         g = build_csr(K2_EDGES, 2)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(InputError, match="coefficient 1 is negative"):
             positive_combination_check([1.0, -0.5], g)
 
     def test_theorem_positive_half(self, rng):

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from gscnet import verify
+from gscnet import suite, verify
 from gscnet.basis import build_basis_cache, gsc_combine
-from gscnet.errors import InputError, SizeGuardError
+from gscnet.errors import InputError
 from gscnet.graph import build_csr
 from gscnet.verify import (dense_eigensystem, dense_laplacian,
                            dense_matrix_power, dense_shifted,
@@ -50,7 +50,7 @@ class TestDenseEigensystem:
     def test_size_guard(self):
         g = build_csr([(0, 1)], 501)
         with pytest.raises(
-                SizeGuardError,
+                InputError,
                 match=r"guarded at n <= 500, got n = 501; check a graph with "
                       r"n <= 500$"):
             dense_eigensystem(g)
@@ -144,6 +144,41 @@ class TestFiniteDifference:
             lambda p: float((p["w"] ** 2).sum()), params)
         assert grads["w"].shape == W.shape
         assert np.allclose(grads["w"], 2 * W, atol=1e-6)
+
+
+class TestSuiteFailsOnNaN:
+    """A NaN error is within no bound, though Python's max(0.0, nan) is 0.0
+    and NaN > bound is False: each check fails on a NaN measurement. A NaN
+    filter is `test_cli`'s TestVerifyCommand case."""
+
+    def test_nan_analytic_gradient(self, monkeypatch):
+        real = suite.loss_and_grad
+
+        def nan_grads(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            return loss, {k: np.full_like(v, np.nan) for k, v in grads.items()}
+        monkeypatch.setattr(suite, "loss_and_grad", nan_grads)
+        report = suite.run_suite(quick=True)
+        check = {c["name"]: c for c in report["checks"]}["gradient_check"]
+        assert report["passed"] is False
+        assert check["passed"] is False
+        assert check["worst_relative_err"] is None
+
+    def test_nan_rayleigh_quotient(self, monkeypatch):
+        monkeypatch.setattr(suite, "shifted_apply",
+                            lambda g, x: np.full(g.n, np.nan))
+        check = suite._check_rayleigh(np.random.default_rng(0), 5)
+        assert check["passed"] is False and check["violations"] == 5
+
+    def test_nan_eigensystem(self, monkeypatch):
+        def nan_eigensystem(g):
+            return verify.EigenSystem(np.full(g.n, np.nan),
+                                      np.full((g.n, g.n), np.nan))
+        monkeypatch.setattr(verify, "dense_eigensystem", nan_eigensystem)
+        check = suite._check_eigensystem(np.random.default_rng(0), 3)
+        assert check["passed"] is False
+        assert (check["reconstruction_err"], check["orthonormality_err"],
+                check["eigenvalue_range"]) == (None, None, [None, None])
 
 
 def test_oracles_do_not_import_scipy():
