@@ -10,8 +10,14 @@ Blank lines carry no row. One table reader parses all three files.
 
 from __future__ import annotations
 
+import copy
+import ctypes
+import functools
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -144,6 +150,13 @@ def csbm_params_for(regime: str, n: int = 1000, d: int = 16, mu: float = 1.0,
 PAIR_CHUNK = 1 << 16
 
 
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _triu_pairs(t: np.ndarray, m: int):
     """(i, j) of the flat positions t in np.triu_indices(m, k=1) order."""
     i = np.arange(m - 1)
@@ -152,22 +165,107 @@ def _triu_pairs(t: np.ndarray, m: int):
     return row, t - starts[row] + row + 1
 
 
-def block_edges(rng, rows, cols, p: float, upper_only: bool):
+@functools.cache
+def _sched_getcpu():
+    """libc's sched_getcpu, or None where there is none."""
+    try:
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError, TypeError):
+        return None
+    getcpu.restype, getcpu.argtypes = ctypes.c_int, []
+    return getcpu
+
+
+def _leave_core(core):
+    """Move the calling thread to the other cores it may use, off `core`.
+    A new thread starts on its creator's core, and a scheduler may leave it
+    there for a long time while another core idles (a 2-vCPU VM was seen
+    to keep both draw threads on one core for 0.7 s)."""
+    if core is None or not hasattr(os, "sched_setaffinity"):
+        return
+    others = os.sched_getaffinity(0) - {core}
+    if others:
+        try:
+            os.sched_setaffinity(0, others)
+        except OSError:  # a core went offline: stay put, only slower
+            pass
+
+
+def _kept_positions(rng, total: int, p: float, cores: int) -> np.ndarray:
+    """The positions in [0, total) whose uniform from rng is below p.
+
+    The uniforms are drawn in PAIR_CHUNK chunks, into buffers the caller
+    makes, by min(cores, chunks) threads: the caller and helpers started
+    for this call, which leave the caller's core. One thread draws from
+    rng itself. Several each claim the next undrawn chunk and draw it from
+    their own copy of rng advanced to the chunk's first pair, so a faster
+    core draws more chunks; then rng moves to where one thread would have
+    left it. The chunks are joined in pair order, so the positions and
+    rng's later draws do not depend on `cores`."""
+    starts = range(0, total, PAIR_CHUNK)
+    kept = [None] * len(starts)
+    claims = iter(enumerate(starts))
+    claim_lock = threading.Lock()
+
+    def draw(part, uniforms, below):
+        at = 0  # the pair whose uniform `part` draws next
+        while True:
+            with claim_lock:
+                chunk, lo = next(claims, (None, None))
+            if chunk is None:
+                return
+            if lo > at:
+                part.bit_generator.advance(lo - at)
+            size = min(PAIR_CHUNK, total - lo)
+            part.random(out=uniforms[:size])
+            at = lo + size
+            hits = np.flatnonzero(np.less(uniforms[:size], p,
+                                          out=below[:size]))
+            hits += lo
+            kept[chunk] = hits
+
+    size = min(PAIR_CHUNK, total)
+    buffers = [(np.empty(size), np.empty(size, dtype=bool))
+               for _ in range(min(cores, len(starts)))]
+    if len(buffers) == 1:
+        draw(rng, *buffers[0])
+        return np.concatenate(kept)
+    parts = [copy.deepcopy(rng) for _ in buffers]
+    getcpu = _sched_getcpu()
+    home = getcpu() if getcpu else None
+    with ThreadPoolExecutor(max_workers=len(parts) - 1,
+                            initializer=_leave_core,
+                            initargs=(home,)) as helpers:
+        futures = [helpers.submit(draw, part, *buf)
+                   for part, buf in zip(parts[1:], buffers[1:])]
+        draw(parts[0], *buffers[0])
+        for future in futures:
+            future.result()
+    # As after a serial draw, only the PCG64 state has moved: rng keeps its
+    # buffered 32 bits, which `advance` clears.
+    before = rng.bit_generator.state
+    rng.bit_generator.advance(total)
+    rng.bit_generator.state = {**before,
+                               "state": rng.bit_generator.state["state"]}
+    return np.concatenate(kept)
+
+
+def block_edges(rng, rows, cols, p: float, upper_only: bool, cores: int = 1):
     """Bernoulli(p) edges between two node id ranges.
 
     Pairs are taken in row-major order (the upper triangle when
     upper_only) and kept when their uniform draw is below p; no uniform
-    is drawn at p <= 0 or p >= 1."""
+    is drawn at p <= 0 or p >= 1. The uniforms are drawn on up to `cores`
+    threads (`_kept_positions`), and the edges and rng's state after the
+    call are the same for every `cores`. cores > 1 needs a PCG64 rng,
+    which np.random.default_rng gives, because the split draw `advance`s
+    copies of it."""
     m, m2 = len(rows), len(cols)
     total = m * (m - 1) // 2 if upper_only else m * m2
     if p <= 0.0 or total == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    if p >= 1.0:
-        kept = np.arange(total)
-    else:
-        kept = np.concatenate([
-            np.flatnonzero(rng.random(min(PAIR_CHUNK, total - lo)) < p) + lo
-            for lo in range(0, total, PAIR_CHUNK)])
+    kept = np.arange(total) if p >= 1.0 else \
+        _kept_positions(rng, total, p, cores)
     if upper_only:
         iu, ju = _triu_pairs(kept, m)
         u, v = rows[iu], rows[ju]
@@ -176,7 +274,7 @@ def block_edges(rng, rows, cols, p: float, upper_only: bool):
     return np.stack([u, v], axis=1)
 
 
-def csbm_generate(params: CsbmParams) -> Dataset:
+def csbm_generate(params: CsbmParams, cores: int | None = None) -> Dataset:
     """Draw one contextual-SBM instance.
 
     Nodes [0, n/2) are class 0, the rest class 1; every intra-class pair is
@@ -184,18 +282,24 @@ def csbm_generate(params: CsbmParams) -> Dataset:
     Features are mu*(+/-u) + sigma*N(0, I) with u a per-seed unit vector.
 
     The pair uniforms are streamed in chunks of PAIR_CHUNK, so memory is
-    O(chunk + |E|); time is still O(n^2) uniform draws, which keeps every
-    seed's graph the same as a single full-size draw would give.
+    O(cores * chunk + |E|). Time is still O(n^2) uniform draws, split over
+    `cores` threads (None: every core this process may run on), and every
+    seed's graph and features are the same as one serial full-size draw
+    gives, whatever `cores` is.
     """
+    cores = usable_cores() if cores is None else cores
     rng = np.random.default_rng(params.seed)
     half = params.n // 2
     block0 = np.arange(half)
     block1 = np.arange(half, params.n)
 
     edges = np.concatenate([
-        block_edges(rng, block0, block0, params.p_intra, upper_only=True),
-        block_edges(rng, block1, block1, params.p_intra, upper_only=True),
-        block_edges(rng, block0, block1, params.p_inter, upper_only=False),
+        block_edges(rng, block0, block0, params.p_intra, upper_only=True,
+                    cores=cores),
+        block_edges(rng, block1, block1, params.p_intra, upper_only=True,
+                    cores=cores),
+        block_edges(rng, block0, block1, params.p_inter, upper_only=False,
+                    cores=cores),
     ], axis=0)
     graph = build_csr(edges, params.n)
 

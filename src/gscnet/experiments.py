@@ -10,9 +10,13 @@ is loaded once per command, before the fan-out. Seeds are submitted in
 seed order and their records kept in it, so the output does not depend on
 the order of the seed list.
 
-BLAS threads: while more than one worker runs, OpenBLAS is capped to its
-share of the cores per worker, max(1, min(current, nproc // workers)), and
-restored when the pool exits; the serial path keeps every BLAS thread.
+Cores: each of the `workers` concurrent seed jobs owns `core_share`,
+max(1, nproc // workers) of the nproc usable cores. Its CSBM pair draw is
+split over that many threads, which never changes a byte of the dataset,
+so a serial run draws on every core and a 2-worker fan-out on 2 cores
+draws serially. While more than one worker runs, OpenBLAS is capped to
+min(current, share) threads and restored when the pool exits; the serial
+path keeps every BLAS thread.
 Large GEMMs round differently at different BLAS thread counts, so a run's
 bytes are a function of its config and of its BLAS threads per worker: a
 fan-out repeats bit for bit and equals a serial run under the same count,
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import (CsbmParams, Dataset, csbm_generate, csbm_params_for,
-                   load_dataset, random_split)
+                   load_dataset, random_split, usable_cores)
 from .errors import ConfigError, GscnetError, InputError, is_int
 from .model import ARCHITECTURES, TrainConfig, propagation
 from .train import RunRecord, train_single
@@ -126,15 +130,17 @@ def csbm_params(spec: dict, seed: int) -> CsbmParams:
         raise ConfigError(f"bad csbm dataset spec: {exc}") from exc
 
 
-def _dataset_source(spec: dict):
-    """seed -> Dataset for the configured dataset. A CSBM is drawn per seed;
+def _dataset_source(spec: dict, cores: int | None = None):
+    """seed -> Dataset for the configured dataset. A CSBM is drawn per seed,
+    its pair stream split over `cores` threads (None: every usable core);
     a file dataset is loaded here, once, and every seed shares it (it is
     immutable). The spec is checked here too, before any seed's job runs."""
     kind = spec.get("kind", "csbm")
     if kind == "csbm":
         # The seed does not decide whether the keys and values are valid.
         csbm_params(spec, 0)
-        return lambda seed: csbm_generate(csbm_params(spec, seed))
+        return lambda seed: csbm_generate(csbm_params(spec, seed),
+                                          cores=cores)
     if kind == "files":
         keys = set(spec) - {"kind"}
         if keys != {"edges", "features", "labels"}:
@@ -146,7 +152,7 @@ def _dataset_source(spec: dict):
 
 
 def make_dataset(spec: dict, seed: int) -> Dataset:
-    """The configured dataset for one seed."""
+    """The configured dataset for one seed, drawn on every usable core."""
     return _dataset_source(spec)(seed)
 
 
@@ -191,25 +197,25 @@ def _openblas():
     return None
 
 
-def _nproc() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def core_share(workers: int) -> int:
+    """Each of `workers` concurrent jobs' share of the usable cores: the
+    threads its CSBM pair draw is split over, and its OpenBLAS cap."""
+    return max(1, usable_cores() // workers)
 
 
 @contextlib.contextmanager
 def blas_threads_per_worker(workers: int):
-    """Cap OpenBLAS to each worker's share of the cores while `workers`
-    threads call it at once, and restore the count on exit; a no-op for one
-    worker or without OpenBLAS. The count is process-wide, so fan-outs in
-    one process must not overlap."""
+    """Cap OpenBLAS to each worker's `core_share` while `workers` threads
+    call it at once, and restore the count on exit; a no-op for one worker
+    or without OpenBLAS. The count is process-wide, so fan-outs in one
+    process must not overlap."""
     blas = _openblas()
     if blas is None or workers < 2:
         yield
         return
     _, get, put = blas
     before = get()
-    put(max(1, min(before, _nproc() // workers)))
+    put(min(before, core_share(workers)))
     try:
         yield
     finally:
@@ -224,22 +230,22 @@ def environment() -> dict:
     if (blas := _openblas()) is not None:
         name, threads = blas[0], blas[1]()
     return {"numpy": np.__version__, "blas": name,
-            "blas_threads_per_worker": threads, "nproc": _nproc()}
+            "blas_threads_per_worker": threads, "nproc": usable_cores()}
 
 
 def _fan_out(config: ExperimentConfig, cells) -> tuple[dict, list]:
     """Train every (arch, k1, k2) cell on every seed, one `_run_one_seed`
     job per seed, submitted in seed order, on min(threads, seeds) workers
-    under `blas_threads_per_worker`. Returns the `environment` read inside
-    that cap and, per cell, its RunRecords in seed order. Each cell's
-    degrees are checked first, so a bad degree fails before any dataset is
-    drawn."""
+    under `blas_threads_per_worker`; each seed's CSBM is drawn on its
+    worker's `core_share`. Returns the `environment` read inside that cap
+    and, per cell, its RunRecords in seed order. Each cell's degrees are
+    checked first, so a bad degree fails before any dataset is drawn."""
     cells = list(cells)
     for arch, k1, k2 in cells:
         propagation(arch, k1, k2)
-    source = _dataset_source(config.dataset)
     seeds = sorted(config.seeds)
     workers = min(config.threads, len(seeds))
+    source = _dataset_source(config.dataset, core_share(workers))
     with blas_threads_per_worker(workers):
         env = environment()
         if workers == 1:

@@ -63,9 +63,10 @@ def classify_graph_activation(T, g: SparseGraph) -> ActivationClass:
     edge-patterned matrices spread support to multi-hop pairs, which is
     why off-edge entries must only be >= 0.
 
-    The witness is the first violating entry in row-major order. Entries
-    not stored in a sparse T are zero; the check visits only the stored
-    entries of T and of A + I.
+    The witness is the first violating entry in row-major order, with the
+    reason "non-finite entry" when it is NaN or -inf. Entries not stored
+    in a sparse T are zero; the check visits only the stored entries of T
+    and of A + I.
     """
     if not scipy.sparse.issparse(T):
         T = np.asarray(T, dtype=np.float64)
@@ -88,17 +89,22 @@ def classify_graph_activation(T, g: SparseGraph) -> ActivationClass:
         return ActivationClass(True)
     first = int(np.argmin(bad.row.astype(np.int64) * g.n + bad.col))
     i, j = int(bad.row[first]), int(bad.col[first])
-    reason = ("non-positive entry on edge/self-loop"
-              if i == j or j in g.neighbors(i)
-              else "negative entry off the edge pattern")
-    return ActivationClass(False, ((i, j), float(T[i, j]), reason))
+    value = float(T[i, j])
+    if not np.isfinite(value):
+        reason = "non-finite entry"
+    elif i == j or j in g.neighbors(i):
+        reason = "non-positive entry on edge/self-loop"
+    else:
+        reason = "negative entry off the edge pattern"
+    return ActivationClass(False, ((i, j), value, reason))
 
 
 def positive_combination_check(coeffs, g: SparseGraph) -> ActivationClass:
     """Classify sum_j coeffs[j] * (2I - L)^j, expanded with the dense
     oracle's builders and so guarded, like them, at n <= DENSE_GUARD.
 
-    All coefficients must be >= 0 (the non-negative-combination hypothesis);
+    All coefficients must be finite and >= 0 (the non-negative-combination
+    hypothesis; a NaN or infinite one raises InputError like a negative one);
     on a connected graph with coeffs[0] > 0 and coeffs[1] > 0 the verdict is
     Positive. Every power of 2I - L = I + Â is entrywise non-negative, so
     the verdict depends only on which entries are positive, and a Negative
@@ -107,10 +113,12 @@ def positive_combination_check(coeffs, g: SparseGraph) -> ActivationClass:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise InputError("expected a non-empty 1-D coefficient vector")
-    if (coeffs < 0).any():
-        j = int(np.argmax(coeffs < 0))
+    broken = ~np.isfinite(coeffs) | (coeffs < 0)
+    if broken.any():
+        j = int(np.argmax(broken))
+        what = "negative" if coeffs[j] < 0 else "not finite"
         raise InputError(
-            f"coefficient {j} is negative ({coeffs[j]}); the non-negative "
+            f"coefficient {j} is {what} ({coeffs[j]}); the non-negative "
             "combination hypothesis is broken")
     if not (coeffs > 0).any():
         return ActivationClass(False, (None, 0.0, "all coefficients zero"))

@@ -81,7 +81,7 @@ def rng():
 @pytest.fixture
 def no_draw(monkeypatch):
     """Fails the test if a command draws a CSBM."""
-    def draw(*args):
+    def draw(*args, **kwargs):
         raise AssertionError("a dataset was drawn")
     monkeypatch.setattr(experiments, "csbm_generate", draw)
 

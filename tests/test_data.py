@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import gscnet
 from gscnet import data
 from gscnet.data import (CsbmParams, Dataset, Split, _triu_pairs,
-                         csbm_generate, csbm_params_for, load_dataset,
-                         random_split, save_dataset)
+                         block_edges, csbm_generate, csbm_params_for,
+                         load_dataset, random_split, save_dataset)
 from gscnet.errors import DataError, DegenerateInputError, InputError
 from gscnet.graph import build_csr
 from gscnet.pnca import dataset_stats, label_smoothness
@@ -154,6 +155,43 @@ class TestCsbmPairStream:
         want = csbm_generate(params)
         monkeypatch.setattr(data, "PAIR_CHUNK", chunk)
         assert draw_digest(csbm_generate(params)) == draw_digest(want)
+
+    # Chunks of 7 pairs cut the n=1000 preset's blocks into 17,822,
+    # 17,822 and 35,715 chunks, each block's last one short, which 2, 3 or
+    # 5 threads claim in whatever order they free up; a short switch
+    # interval makes them trade the claim lock often.
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    def test_split_draw_gives_the_preset(self, monkeypatch, cores):
+        monkeypatch.setattr(data, "PAIR_CHUNK", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ds = csbm_generate(
+                csbm_params_for("heterophily", n=1000, seed=0), cores=cores)
+        finally:
+            sys.setswitchinterval(interval)
+        assert draw_digest(ds) == PRESET_DIGESTS["heterophily", 1000, 0]
+
+    # At m=2 each block is one chunk, at m=5 two (upper) or four (across),
+    # so some threads find no chunk left; at m=200 there are thousands.
+    @pytest.mark.parametrize("cores", [2, 3, 5])
+    @pytest.mark.parametrize("m", [2, 5, 200])
+    @pytest.mark.parametrize("upper_only", [True, False])
+    def test_split_block_leaves_rng_as_serial(self, monkeypatch, cores, m,
+                                              upper_only):
+        monkeypatch.setattr(data, "PAIR_CHUNK", 7)
+        rows, cols = np.arange(m), np.arange(m, 2 * m)
+        serial, split = np.random.default_rng(5), np.random.default_rng(5)
+        for rng in serial, split:
+            # Leaves 32 bits buffered, which a split draw must keep too.
+            rng.integers(0, 2**32, dtype=np.uint32)
+        threads = threading.active_count()
+        want = block_edges(serial, rows, cols, 0.3, upper_only)
+        got = block_edges(split, rows, cols, 0.3, upper_only, cores=cores)
+        assert threading.active_count() == threads
+        assert np.array_equal(got, want)
+        assert split.bit_generator.state == serial.bit_generator.state
+        assert split.random() == serial.random()
 
     def test_triangle_mapping_matches_triu_indices(self):
         for m in range(2, 41):

@@ -160,13 +160,30 @@ class TestOneJobPerSeed:
         calls = []
         real = experiments.csbm_generate
 
-        def counted(params):
+        def counted(params, cores):
             calls.append(params.seed)
-            return real(params)
+            return real(params, cores)
 
         monkeypatch.setattr(experiments, "csbm_generate", counted)
         cmd_sweep_degrees(tiny_config(), [1, 2], [1, 2])
         assert sorted(calls) == [0, 1]
+
+    @pytest.mark.parametrize("threads, cores", [(1, 2), (2, 1)])
+    def test_each_draw_gets_its_workers_core_share(self, monkeypatch,
+                                                   threads, cores):
+        # On two cores a serial run draws on both and each of two workers
+        # on one.
+        monkeypatch.setattr(experiments, "usable_cores", lambda: 2)
+        calls = []
+        real = experiments.csbm_generate
+
+        def spied(params, cores):
+            calls.append(cores)
+            return real(params, cores)
+
+        monkeypatch.setattr(experiments, "csbm_generate", spied)
+        cmd_train(tiny_config(threads=threads))
+        assert calls == [cores, cores]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_file_dataset_loaded_once_per_command(self, tmp_path,
@@ -435,7 +452,7 @@ class TestBlasThreadsPerWorker:
         with pytest.raises(RuntimeError):
             cmd_train(tiny_config(threads=2))
         assert get() == before
-        share = max(1, min(before, experiments._nproc() // 2))
+        share = min(before, experiments.core_share(2))
         assert seen == [share, share]
 
     def test_environment_records_the_count_the_seeds_ran_under(
@@ -446,7 +463,7 @@ class TestBlasThreadsPerWorker:
         threaded = cmd_train(tiny_config(threads=2))["summary"]
         serial = cmd_train(tiny_config(threads=1))["summary"]
         bench = cmd_bench(tiny_config(threads=2), warmup=5)
-        share = max(1, min(before, experiments._nproc() // 2))
+        share = min(before, experiments.core_share(2))
         # Two workers get the share each; serial seeds and bench's one seed
         # keep the full count.
         assert seen == [share, share, before, before, before]

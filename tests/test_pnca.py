@@ -21,6 +21,8 @@ def row_major_reference(T, g):
     on_edge = g.adjacency.toarray() != 0
     np.fill_diagonal(on_edge, True)
     for (i, j), value in np.ndenumerate(T):
+        if np.isnan(value) or value == -np.inf:
+            return "Negative", ((i, j), value, "non-finite entry")
         if on_edge[i, j] and not value > 0:
             return "Negative", ((i, j), value,
                                 "non-positive entry on edge/self-loop")
@@ -118,10 +120,9 @@ class TestClassifyGraphActivation:
         assert verdict.witness == ((1, 2), -1.0,
                                    "non-positive entry on edge/self-loop")
 
-    @pytest.mark.parametrize("entry, reason", [
-        ((0, 2), "negative entry off the edge pattern"),
-        ((1, 1), "non-positive entry on edge/self-loop")])
-    def test_nan_is_a_violation_wherever_it_sits(self, entry, reason):
+    @pytest.mark.parametrize("entry", [(0, 2), (1, 1)],
+                             ids=["off-pattern", "diagonal"])
+    def test_nan_is_a_violation_wherever_it_sits(self, entry):
         # A NaN fails every comparison, so off the pattern it must not pass
         # as "not negative".
         g = build_csr(P3_EDGES, 3)
@@ -131,7 +132,16 @@ class TestClassifyGraphActivation:
             verdict = classify_graph_activation(given_T, g)
             assert verdict.label == "Negative"
             index, value, why = verdict.witness
-            assert (index, why) == (entry, reason) and np.isnan(value)
+            assert (index, why) == (entry, "non-finite entry")
+            assert np.isnan(value)
+
+    def test_minus_inf_witness_is_non_finite(self):
+        # -inf is also a sign violation; its reason names it non-finite.
+        g = build_csr(P3_EDGES, 3)
+        T = transform(g, "shifted").toarray()
+        T[1, 1] = -np.inf
+        verdict = classify_graph_activation(T, g)
+        assert verdict.witness == ((1, 1), -np.inf, "non-finite entry")
 
     def test_shape_checked(self):
         g = build_csr(K2_EDGES, 2)
@@ -223,6 +233,16 @@ class TestPositiveCombination:
         g = build_csr(K2_EDGES, 2)
         with pytest.raises(InputError, match="coefficient 1 is negative"):
             positive_combination_check([1.0, -0.5], g)
+
+    @pytest.mark.parametrize("coeffs, j", [
+        ([np.nan], 0), ([1.0, np.nan], 1), ([np.inf, 1.0], 0)])
+    def test_non_finite_coefficient_breaks_contract(self, coeffs, j):
+        # A NaN passes `< 0`, so it must be refused on its own: alone it
+        # would read "all coefficients zero", beside a 1.0 a NaN witness.
+        g = build_csr(P3_EDGES, 3)
+        with pytest.raises(InputError, match=f"coefficient {j} is not "
+                                             "finite"):
+            positive_combination_check(coeffs, g)
 
     def test_theorem_positive_half(self, rng):
         # alpha_0, alpha_1 > 0 with non-negative tail is Positive on any
