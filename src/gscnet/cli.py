@@ -1,9 +1,10 @@
 """Experiment CLI.
 
 Subcommands: train, sweep, oversmooth, ablate, bench, csbm-gen, analyze,
-verify. Every JSON artifact carries a schema field; re-running a command
-overwrites outputs with identical bytes apart from wall times. Each
-training command warns on stderr about every cell that diverged.
+verify. Each result is written once, as strict JSON or JSONL with a
+schema field; re-running a command overwrites it with identical bytes
+apart from `experiments.WALL_TIME_FIELDS`. Each training command warns on
+stderr about every cell that diverged.
 
 Exit codes: 0 success, 2 config error (or an output directory that cannot
 be written), 3 data error, 4 verification failure.
@@ -78,7 +79,7 @@ def _cmd_train(args) -> int:
     experiments.write_json(os.path.join(out, "summary.json"), s)
     cell = f"{config.arch} (k1={config.k1}, k2={config.k2})"
     print(f"{cell}: test acc {s['mean_test_acc']:.4f} +/- "
-          f"{experiments.format_ci(s['ci95'], 4)} over {len(config.seeds)} "
+          f"{experiments.format_ci(s['ci95'])} over {len(config.seeds)} "
           "seed(s)")
     _warn_diverged(cell, s["diverged_seeds"])
     return 0
@@ -99,12 +100,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     k1s, k2s = _parse_range(args.k1_range), _parse_range(args.k2_range)
     table = experiments.cmd_sweep_degrees(config, k1s, k2s)
-    out = _out_dir(args)
-    experiments.write_json(os.path.join(out, "sweep.json"), table)
-    experiments.write_csv(
-        os.path.join(out, "sweep.csv"), ["k1", "k2", "mean_test_acc", "ci95"],
-        ([c["k1"], c["k2"], f"{c['mean_test_acc']:.6f}",
-          experiments.format_ci(c["ci95"], 6)] for c in table["cells"]))
+    experiments.write_json(os.path.join(_out_dir(args), "sweep.json"), table)
     print(f"sweep spread (max-min mean acc): {table['spread']:.4f}")
     for c in table["cells"]:
         _warn_diverged(f"{config.arch} (k1={c['k1']}, k2={c['k2']})",
@@ -116,13 +112,8 @@ def _cmd_oversmooth(args) -> int:
     config = _load_config(args)
     depths = _parse_ints(args.depths, "--depths")
     table = experiments.cmd_oversmooth(config, depths)
-    out = _out_dir(args)
-    experiments.write_json(os.path.join(out, "oversmooth.json"), table)
-    experiments.write_csv(
-        os.path.join(out, "oversmooth.csv"),
-        ["arch", *(f"depth_{d}" for d in depths)],
-        ([arch, *(f"{vals[str(d)]:.6f}" for d in depths)]
-         for arch, vals in table["accuracy"].items()))
+    experiments.write_json(os.path.join(_out_dir(args), "oversmooth.json"),
+                           table)
     for arch, drop in table["drop_to_deepest"].items():
         print(f"{arch}: drop to depth {depths[-1]} = {drop:.4f}")
     for arch, by_depth in table["diverged_seeds"].items():
@@ -134,11 +125,10 @@ def _cmd_oversmooth(args) -> int:
 def _cmd_ablate(args) -> int:
     config = _load_config(args)
     table = experiments.cmd_ablate_activations(config)
-    out = _out_dir(args)
-    experiments.write_json(os.path.join(out, "ablate.json"), table)
+    experiments.write_json(os.path.join(_out_dir(args), "ablate.json"), table)
     for variant, row in table["rows"].items():
         print(f"{variant}: {row['mean_test_acc']:.4f} +/- "
-              f"{experiments.format_ci(row['ci95'], 4)}")
+              f"{experiments.format_ci(row['ci95'])}")
         k1, k2 = row["degrees"]
         _warn_diverged(f"{variant} (k1={k1}, k2={k2})", row["diverged_seeds"])
     return 0
@@ -147,12 +137,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_bench(args) -> int:
     config = _load_config(args)
     report = experiments.cmd_bench(config, warmup=args.warmup)
-    out = _out_dir(args)
-    experiments.write_json(os.path.join(out, "bench.json"), report)
-    experiments.write_csv(os.path.join(out, "bench_epochs.csv"),
-                          ["epoch", "ms"],
-                          ([i, f"{ms:.3f}"]
-                           for i, ms in enumerate(report["series_ms"])))
+    experiments.write_json(os.path.join(_out_dir(args), "bench.json"), report)
     print(f"{config.arch}: {report['per_epoch_ms']:.2f} ms/epoch, "
           f"{report['total_s']:.2f} s total")
     return 0

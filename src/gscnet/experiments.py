@@ -47,6 +47,10 @@ from .train import RunRecord, train_single
 
 SCHEMA_VERSION = "gscnet-experiments/1"
 
+# The artifact keys that hold wall times: the only values in which two runs
+# of one config on one machine differ.
+WALL_TIME_FIELDS = ("ms", "per_epoch_ms", "total_s", "series_ms")
+
 # Two-sided 95% Student-t critical values by degrees of freedom. A df
 # beyond the table reads the closest smaller df's entry.
 _T975 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
@@ -267,9 +271,9 @@ def _fan_out(config: ExperimentConfig, cells) -> tuple[dict, list]:
     return env, [list(records) for records in zip(*per_seed)]
 
 
-def format_ci(ci, digits: int) -> str:
-    """A cell's ci95 as text; an undefined one (one seed) reads nan."""
-    return f"{math.nan if ci is None else ci:.{digits}f}"
+def format_ci(ci) -> str:
+    """A cell's ci95 as stdout prints it; an undefined one reads nan."""
+    return f"{math.nan if ci is None else ci:.4f}"
 
 
 def summarize_records(records: list) -> dict:
@@ -412,14 +416,6 @@ def write_json(path, obj: dict):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
-
-
-def write_csv(path, header, rows):
-    """A plain CSV table: the header row, then one line per row, each value
-    written as its str, so the caller formats its floats."""
-    with open(path, "w", encoding="utf-8") as f:
-        for row in [header, *rows]:
-            f.write(",".join(map(str, row)) + "\n")
 
 
 def write_records_jsonl(path, record: RunRecord):

@@ -4,6 +4,7 @@ The reference operators below are built entry-by-entry from an edge list,
 deliberately sharing no code with the package paths they are used to check.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,15 @@ TRIANGLE_EDGES = [(0, 1), (1, 2), (2, 0)]
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
+
+
+@pytest.fixture
+def bytes_gate(monkeypatch):
+    """`tools/bytes_gate.py`, whose comparator the repeat tests share."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+    import bytes_gate
+    return bytes_gate
 
 
 @pytest.fixture

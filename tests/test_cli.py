@@ -22,6 +22,18 @@ TINY = {"dataset": {"kind": "csbm", "n": 80, "d": 6, "p_intra": 0.3,
                   "dropout_conv": 0.0, "weight_decay": 0.0},
         "seeds": [0, 1]}
 
+# Each training command but bench, its flags for TINY and the cells its
+# warnings name.
+TRAINING_COMMANDS = [
+    ("train", [], ["GSCNet (k1=1, k2=1)"]),
+    ("sweep", ["--k1-range", "0:1", "--k2-range", "1"],
+     ["GSCNet (k1=0, k2=1)", "GSCNet (k1=1, k2=1)"]),
+    ("oversmooth", ["--depths", "1,2"],
+     [f"{arch} at depth {d}" for arch in ARCHITECTURES for d in (1, 2)]),
+    ("ablate", [], ["positive (k1=1, k2=-1)", "negative (k1=-1, k2=1)",
+                    "mixed (k1=1, k2=1)"]),
+]
+
 
 def strict_json(text):
     """json.loads refusing the NaN and Infinity strict JSON has not."""
@@ -60,14 +72,23 @@ class TestTrainCommand:
             assert run["best_epoch"] == record.best_epoch
             assert run["diverged"] is False and "total_s" not in run
 
-    def test_rerun_identical_modulo_times(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        config = write_config(tmp_path)
-        assert main(["train", "--config", config, "--out-dir", str(out1)]) == 0
-        assert main(["train", "--config", config, "--out-dir", str(out2)]) == 0
-        s1 = json.loads((out1 / "summary.json").read_text())
-        s2 = json.loads((out2 / "summary.json").read_text())
-        assert s1 == s2
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command, flags", [
+        *((c, f) for c, f, _ in TRAINING_COMMANDS), ("bench", [])],
+        ids=[c for c, _, _ in TRAINING_COMMANDS] + ["bench"])
+    def test_rerun_identical_modulo_times(self, tmp_path, bytes_gate,
+                                          command, flags, threads):
+        # Dropout on, so the runs' dropout draws are in the bytes too.
+        config = write_config(tmp_path, {**TINY, "train": {
+            **TINY["train"], "dropout_linear": 0.1, "dropout_conv": 0.1}})
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main([command, "--config", config, *flags, "--out-dir",
+                         str(out), "--threads", threads]) == 0
+        assert list(outs[0].iterdir())
+        # Every file loads as strict JSON or JSONL, and the two runs are
+        # equal once WALL_TIME_FIELDS are dropped.
+        assert bytes_gate.differing_files(*outs) == []
 
     def test_config_seeds_name_the_runs(self, tmp_path):
         out = tmp_path / "runs"
@@ -212,15 +233,15 @@ class TestTrainCommand:
 
 
 class TestSweepCommand:
-    def test_grid_csv(self, tmp_path):
+    def test_grid(self, tmp_path):
         out = tmp_path / "runs"
         rc = main(["sweep", "--config", write_config(tmp_path),
                    "--k1-range", "0:1", "--k2-range", "1", "--out-dir",
                    str(out)])
         assert rc == 0
-        lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "k1,k2,mean_test_acc,ci95"
-        assert len(lines) == 3
+        assert [p.name for p in out.iterdir()] == ["sweep.json"]
+        cells = json.loads((out / "sweep.json").read_text())["cells"]
+        assert [(c["k1"], c["k2"]) for c in cells] == [(0, 1), (1, 1)]
 
     @pytest.mark.parametrize("flag", ["--k1-range", "--k2-range"])
     def test_bad_range_exits_2(self, tmp_path, flag):
@@ -245,7 +266,9 @@ class TestOversmoothCommand:
         assert rc == 0
         table = json.loads((out / "oversmooth.json").read_text())
         assert set(table["accuracy"]) == {"GSCNet", "GCN", "JKNet", "BernNet"}
-        assert (out / "oversmooth.csv").read_text().startswith("arch,depth_1")
+        assert all(set(row) == {"1", "2"}
+                   for row in table["accuracy"].values())
+        assert [p.name for p in out.iterdir()] == ["oversmooth.json"]
 
     @pytest.mark.parametrize("depths", ["2,x", "4,2", "2,2"])
     def test_bad_depths_exit_2_before_any_draw(self, tmp_path, capsys,
@@ -286,7 +309,8 @@ class TestBenchCommand:
         assert rc == 0
         report = json.loads((out / "bench.json").read_text())
         assert report["per_epoch_ms"] > 0
-        assert (out / "bench_epochs.csv").exists()
+        assert len(report["series_ms"]) == TINY["train"]["epochs"]
+        assert [p.name for p in out.iterdir()] == ["bench.json"]
 
     def test_times_one_seed_serially(self, tmp_path):
         # Two seeds and two threads, but bench runs only the first seed.
@@ -320,18 +344,6 @@ class TestBenchCommand:
         assert "error: bench: seed 1 diverged (non-finite loss or logits) " \
             "at epoch 2" in capsys.readouterr().err
         assert not out.exists()
-
-
-# Each training command, its flags for TINY and the cells its warnings name.
-TRAINING_COMMANDS = [
-    ("train", [], ["GSCNet (k1=1, k2=1)"]),
-    ("sweep", ["--k1-range", "0:1", "--k2-range", "1"],
-     ["GSCNet (k1=0, k2=1)", "GSCNet (k1=1, k2=1)"]),
-    ("oversmooth", ["--depths", "1,2"],
-     [f"{arch} at depth {d}" for arch in ARCHITECTURES for d in (1, 2)]),
-    ("ablate", [], ["positive (k1=1, k2=-1)", "negative (k1=-1, k2=1)",
-                    "mixed (k1=1, k2=1)"]),
-]
 
 
 def divergence_warnings(cells, seeds):
@@ -414,13 +426,6 @@ class TestEnvironmentBlock:
         assert json.loads((out / artifact).read_text())["environment"] == env
 
 
-def strict_json(text):
-    """json.loads that refuses NaN and Infinity, as strict parsers do."""
-    def refuse(token):
-        raise ValueError(f"{token} is not JSON")
-    return json.loads(text, parse_constant=refuse)
-
-
 class TestStrictJson:
     # A training command, its flags for TINY, its artifact and the ci95
     # values in that artifact.
@@ -444,10 +449,7 @@ class TestStrictJson:
                 strict_json(line)
         ci = cis(strict_json((out / artifact).read_text()))
         assert ci and all(c is None for c in ci)
-        if command == "sweep":
-            rows = (out / "sweep.csv").read_text().splitlines()[1:]
-            assert all(row.endswith(",nan") for row in rows)
-        else:
+        if command != "sweep":
             assert "+/- nan" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
